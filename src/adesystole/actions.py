@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from adesystole.roots import RootClass, RootSystem, cartan_pairing
+from adesystole.roots import RootClass, RootSystem, _reflect, cartan_pairing
 from adesystole.stability import REL_TOL, as_charge, systole_upper, volume_roots
 
 FORWARD = "forward"
@@ -50,10 +50,7 @@ def reflect_class(rs: RootSystem, i: int, alpha) -> RootClass:
     alpha = tuple(int(c) for c in alpha)
     if len(alpha) != rs.rank:
         raise ValueError(f"class vector has length {len(alpha)}, expected {rs.rank}")
-    pairing = sum(rs.cartan[i0][k] * alpha[k] for k in range(rs.rank))
-    out = list(alpha)
-    out[i0] -= pairing
-    return tuple(out)
+    return _reflect(rs.cartan, i0, alpha)
 
 
 def reflect_charge(rs: RootSystem, i: int, Z) -> np.ndarray:

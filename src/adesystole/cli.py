@@ -1,8 +1,9 @@
 """Command-line surface: parse inputs, dispatch, emit reports.
 
-Exit status is 0 on success, 1 on bad input, and 2 when a mathematical
-property that should always hold fails numerically (which would mean an
-implementation bug, so CI can tell it apart from user error).
+One table, `COMMANDS`, drives parsing, dispatch and emission.  Exit status
+is 0 on success, 1 on bad input, and 2 when a mathematical property that
+should always hold fails numerically (which would mean an implementation
+bug, so CI can tell it apart from user error).
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from adesystole import actions, milnor, roots, search, stability
 
@@ -98,18 +101,19 @@ def render_human(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def emit(payload: dict, output: str, out_file: str | None, csv_rows=None) -> None:
-    if output == "json":
-        text = json.dumps(_jsonable(payload), indent=2)
-    elif output == "csv":
-        if csv_rows is None:
-            raise CLIError("csv output is not available for this command")
-        header, rows = csv_rows
-        lines = [",".join(header)]
-        lines.extend(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) for row in rows)
-        text = "\n".join(lines)
-    else:
-        text = render_human(payload)
+def render_csv(result: search.SearchResult) -> str:
+    """One row per sample (or restart), floats at 17 significant digits."""
+    columns = (result.ratios, result.sys_upper, result.sys_lower, result.volumes)
+    lines = ["index,ratio,sys_upper,sys_lower,volume"]
+    lines.extend(
+        f"{idx},{ratio:.17g},{upper:.17g},{lower:.17g},{volume:.17g}"
+        for idx, (ratio, upper, lower, volume) in enumerate(zip(*(c.tolist() for c in columns)))
+    )
+    return "\n".join(lines)
+
+
+def emit(text: str, out_file: str | None) -> None:
+    """Write one rendered report to out_file, or to stdout."""
     if out_file:
         Path(out_file).write_text(text + "\n", encoding="utf-8")
     else:
@@ -161,12 +165,14 @@ def _require(args, *names):
             raise CLIError(f"missing required option --{name.replace('_', '-')}")
 
 
-def _ade(args) -> roots.AdeType:
-    _require(args, "family", "rank")
-    try:
-        return roots.AdeType(args.family.upper(), args.rank)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+class Report(NamedTuple):
+    """What a handler computed: report fields, the exit verdict, inputs to echo
+    after family/rank, and the object a command's own output modes render."""
+
+    fields: dict
+    ok: bool = True
+    inputs: dict = {}
+    source: object = None
 
 
 def _charge(args, rs: roots.RootSystem):
@@ -177,177 +183,82 @@ def _charge(args, rs: roots.RootSystem):
     return values
 
 
-def _base_payload(command: str, inputs: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": {k: v for k, v in inputs.items() if v is not None},
-    }
-
-
-def cmd_roots(args) -> int:
-    ade = _ade(args)
-    rs = roots.build_root_system(ade)
-    payload = _base_payload("roots", {"family": ade.family, "rank": ade.rank})
-    payload.update(
+def _roots(args, rs: roots.RootSystem) -> Report:
+    return Report(
         {
             "coxeter": rs.coxeter,
-            "count": roots.count_positive_roots(ade),
+            "count": roots.count_positive_roots(rs.ade),
             "cartan": [list(row) for row in rs.cartan],
             "cartan_inverse": [[str(x) for x in row] for row in rs.cartan_inv],
             "positive_roots": [list(alpha) for alpha in rs.positive_roots],
         }
     )
-    emit(payload, args.output, args.out_file)
-    return EXIT_OK
 
 
-def cmd_identity(args) -> int:
-    ade = _ade(args)
-    report = roots.verify_volume_identity(roots.build_root_system(ade))
-    payload = _base_payload("identity", {"family": ade.family, "rank": ade.rank})
-    payload.update(
-        {
-            "pass": report.passed,
-            "pairs_checked": report.pairs_checked,
-            "failures": [
-                {"i": i, "j": j, "inverse_entry": str(lhs), "root_sum": str(rhs)}
-                for i, j, lhs, rhs in report.failures
-            ],
-        }
-    )
-    emit(payload, args.output, args.out_file)
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+def _identity(args, rs: roots.RootSystem) -> Report:
+    report = roots.verify_volume_identity(rs)
+    failures = [
+        {"i": i, "j": j, "inverse_entry": str(lhs), "root_sum": str(rhs)}
+        for i, j, lhs, rhs in report.failures
+    ]
+    fields = {"pass": report.passed, "pairs_checked": report.pairs_checked, "failures": failures}
+    return Report(fields, report.passed)
 
 
-def cmd_volume(args) -> int:
-    ade = _ade(args)
-    rs = roots.build_root_system(ade)
+def _volume(args, rs: roots.RootSystem) -> Report:
     z = _charge(args, rs)
     via_basis = stability.volume_basis(rs, z)
     via_roots = stability.volume_roots(rs, z)
     gap = abs(via_basis - via_roots) / max(1.0, via_roots)
     agree = gap <= stability.REL_TOL
-    payload = _base_payload(
-        "volume", {"family": ade.family, "rank": ade.rank, "charge": format_charge(z)}
-    )
-    payload.update(
-        {
-            "volume_basis": via_basis,
-            "volume_roots": via_roots,
-            "relative_difference": gap,
-            "agree": agree,
-        }
-    )
-    emit(payload, args.output, args.out_file)
-    return EXIT_OK if agree else EXIT_VIOLATION
+    fields = {
+        "volume_basis": via_basis,
+        "volume_roots": via_roots,
+        "relative_difference": gap,
+        "agree": agree,
+    }
+    return Report(fields, agree, {"charge": format_charge(z)})
 
 
-def cmd_systole(args) -> int:
-    ade = _ade(args)
-    rs = roots.build_root_system(ade)
+def _systole(args, rs: roots.RootSystem) -> Report:
     z = _charge(args, rs)
-    try:
-        lower = stability.systole_lower(rs, z)
-        upper = stability.systole_upper(rs, z)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
-    payload = _base_payload(
-        "systole", {"family": ade.family, "rank": ade.rank, "charge": format_charge(z)}
-    )
-    payload.update({"sys_lower": lower, "sys_upper": upper})
-    emit(payload, args.output, args.out_file)
-    return EXIT_OK
+    fields = {"sys_lower": stability.systole_lower(rs, z), "sys_upper": stability.systole_upper(rs, z)}
+    return Report(fields, True, {"charge": format_charge(z)})
 
 
-def cmd_inequality(args) -> int:
-    ade = _ade(args)
-    rs = roots.build_root_system(ade)
+def _inequality(args, rs: roots.RootSystem) -> Report:
     z = _charge(args, rs)
-    try:
-        report = stability.check_inequality(rs, z)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
-    payload = _base_payload(
-        "inequality", {"family": ade.family, "rank": ade.rank, "charge": format_charge(z)}
-    )
-    payload.update(report.as_dict())
-    emit(payload, args.output, args.out_file)
-    return EXIT_OK if report.satisfied() else EXIT_VIOLATION
+    report = stability.check_inequality(rs, z)
+    return Report(report.as_dict(), report.satisfied(), {"charge": format_charge(z)})
 
 
 def _search_config(args) -> search.SearchConfig:
-    try:
-        return search.SearchConfig(
-            sample_count=args.count if args.count is not None else 1000,
-            seed=args.seed if args.seed is not None else 0,
-            restarts=args.restarts if args.restarts is not None else 1,
-        )
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    given = {"sample_count": args.count, "seed": args.seed, "restarts": args.restarts}
+    return search.SearchConfig(**{k: v for k, v in given.items() if v is not None})
 
 
-def _result_rows(result: search.SearchResult):
-    header = ["index", "ratio", "sys_upper", "sys_lower", "volume"]
-    rows = [
-        (idx, float(result.ratios[idx]), float(result.sys_upper[idx]),
-         float(result.sys_lower[idx]), float(result.volumes[idx]))
-        for idx in range(result.ratios.shape[0])
-    ]
-    return header, rows
+def _search_report(result: search.SearchResult, inputs: dict) -> Report:
+    fields = result.summary()
+    fields["best_charge_str"] = format_charge(result.best_charge)
+    return Report(fields, result.samples_violating == 0, inputs, result)
 
 
-def cmd_sample(args) -> int:
-    ade = _ade(args)
-    rs = roots.build_root_system(ade)
+def _sample(args, rs: roots.RootSystem) -> Report:
     cfg = _search_config(args)
-    result = search.sample_ratios(rs, cfg)
-    payload = _base_payload(
-        "sample",
-        {"family": ade.family, "rank": ade.rank, "seed": cfg.seed, "count": cfg.sample_count},
-    )
-    payload.update(result.summary())
-    payload["best_charge_str"] = format_charge(result.best_charge)
-    emit(payload, args.output, args.out_file, csv_rows=_result_rows(result))
-    return EXIT_OK if result.samples_violating == 0 else EXIT_VIOLATION
+    inputs = {"seed": cfg.seed, "count": cfg.sample_count}
+    return _search_report(search.sample_ratios(rs, cfg), inputs)
 
 
-def cmd_optimize(args) -> int:
-    ade = _ade(args)
-    rs = roots.build_root_system(ade)
+def _optimize(args, rs: roots.RootSystem) -> Report:
     cfg = _search_config(args)
-    result = search.optimize_ratio(rs, cfg)
-    payload = _base_payload(
-        "optimize",
-        {"family": ade.family, "rank": ade.rank, "seed": cfg.seed, "restarts": cfg.restarts},
-    )
-    payload.update(result.summary())
-    payload["best_charge_str"] = format_charge(result.best_charge)
-    emit(payload, args.output, args.out_file, csv_rows=_result_rows(result))
-    return EXIT_OK if result.samples_violating == 0 else EXIT_VIOLATION
+    inputs = {"seed": cfg.seed, "restarts": cfg.restarts}
+    return _search_report(search.optimize_ratio(rs, cfg), inputs)
 
 
-def cmd_tilt_graph(args) -> int:
-    ade = _ade(args)
-    rs = roots.build_root_system(ade)
+def _tilt_graph(args, rs: roots.RootSystem) -> Report:
     depth = args.depth if args.depth is not None else 4
-    try:
-        graph = actions.exchange_graph(rs, depth)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
-    if args.output == "dot":
-        text = graph.to_dot()
-        if args.out_file:
-            Path(args.out_file).write_text(text + "\n", encoding="utf-8")
-        else:
-            print(text)
-        return EXIT_OK
-    payload = _base_payload(
-        "tilt-graph", {"family": ade.family, "rank": ade.rank, "depth": depth}
-    )
-    payload.update(graph.adjacency())
-    emit(payload, args.output, args.out_file)
-    return EXIT_OK
+    graph = actions.exchange_graph(rs, depth)
+    return Report(graph.adjacency(), True, {"depth": depth}, graph)
 
 
 def _configuration(args) -> milnor.PointConfiguration:
@@ -359,137 +270,149 @@ def _configuration(args) -> milnor.PointConfiguration:
         pts = milnor.points_from_coefficients(parse_charge(args.poly))
     else:
         raise CLIError("missing required option --points or --poly")
-    try:
-        return milnor.validate_configuration(pts)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    return milnor.validate_configuration(pts)
 
 
-def _milnor_inputs(args) -> dict:
-    return {"points": args.points, "poly": args.poly}
-
-
-def cmd_milnor(args) -> int:
+def _milnor(args, _rs) -> Report:
     config = _configuration(args)
     lengths = milnor.segment_lengths(config)
-    payload = _base_payload("milnor", _milnor_inputs(args))
-    payload.update(
-        {
-            "n": config.n,
-            "points_centered": format_charge(config.points),
-            "ordering": list(config.ordering),
-            "general_position": config.general_position,
-            "segment_lengths": [
-                {"i": i, "j": j, "length": value} for i, j, value in lengths.entries
-            ],
-            "systole": milnor.geometric_systole(config),
-            "volume": milnor.geometric_volume(config),
-        }
-    )
-    status = EXIT_OK
+    fields = {
+        "n": config.n,
+        "points_centered": format_charge(config.points),
+        "ordering": list(config.ordering),
+        "general_position": config.general_position,
+        "segment_lengths": [{"i": i, "j": j, "length": value} for i, j, value in lengths.entries],
+        "systole": milnor.geometric_systole(config),
+        "volume": milnor.geometric_volume(config),
+    }
+    ok = True
     if args.correspond:
         report = milnor.verify_correspondence(config)
-        payload["correspondence"] = report.as_dict()
-        payload["induced_charge"] = format_charge(milnor.induced_charge(config))
-        if not report.passed:
-            status = EXIT_VIOLATION
-    emit(payload, args.output, args.out_file)
-    return status
+        fields["correspondence"] = report.as_dict()
+        fields["induced_charge"] = format_charge(milnor.induced_charge(config))
+        ok = report.passed
+    return Report(fields, ok, {"points": args.points, "poly": args.poly})
 
 
-def cmd_correspond(args) -> int:
+def _correspond(args, _rs) -> Report:
     config = _configuration(args)
     report = milnor.verify_correspondence(config)
-    payload = _base_payload("correspond", _milnor_inputs(args))
-    payload.update(report.as_dict())
-    payload["induced_charge"] = format_charge(milnor.induced_charge(config))
-    emit(payload, args.output, args.out_file)
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+    fields = report.as_dict()
+    fields["induced_charge"] = format_charge(milnor.induced_charge(config))
+    return Report(fields, report.passed, {"points": args.points, "poly": args.poly})
 
 
-_COMMANDS = {
-    "roots": cmd_roots,
-    "identity": cmd_identity,
-    "volume": cmd_volume,
-    "systole": cmd_systole,
-    "inequality": cmd_inequality,
-    "sample": cmd_sample,
-    "optimize": cmd_optimize,
-    "tilt-graph": cmd_tilt_graph,
-    "milnor": cmd_milnor,
-    "correspond": cmd_correspond,
+@dataclass(frozen=True)
+class Command:
+    """One subcommand.  `ade` adds --family/--rank and hands the handler the
+    root system; `options` are (flag, add_argument kwargs) pairs; `outputs`
+    maps each mode beyond human/json to a renderer of `Report.source`."""
+
+    handler: Callable[[argparse.Namespace, roots.RootSystem | None], Report]
+    help: str
+    ade: bool = True
+    options: tuple = ()
+    outputs: dict = field(default_factory=dict)
+
+
+_CHARGE = (("--charge", {"help": "comma-separated a+bi entries"}),)
+_SEARCH = (("--seed", {"type": int}), ("--count", {"type": int}), ("--restarts", {"type": int}))
+_POINTS = (
+    ("--points", {"help": "comma-separated a+bi points"}),
+    ("--poly", {"help": "comma-separated coefficients a_1..a_n"}),
+)
+
+COMMANDS = {
+    "roots": Command(_roots, "root-system data"),
+    "identity": Command(_identity, "exact coefficient identity check"),
+    "volume": Command(_volume, "volume of a charge along both routes", options=_CHARGE),
+    "systole": Command(_systole, "systole bracket of a charge", options=_CHARGE),
+    "inequality": Command(_inequality, "systolic inequality report for a charge", options=_CHARGE),
+    "sample": Command(_sample, "seeded ratio sampling", options=_SEARCH, outputs={"csv": render_csv}),
+    "optimize": Command(
+        _optimize, "pattern-search ratio maximization", options=_SEARCH, outputs={"csv": render_csv}
+    ),
+    "tilt-graph": Command(
+        _tilt_graph,
+        "class-level tilt graph",
+        options=(("--depth", {"type": int}),),
+        outputs={"dot": actions.ExchangeGraph.to_dot},
+    ),
+    "milnor": Command(
+        _milnor,
+        "point-configuration systole and volume",
+        ade=False,
+        options=_POINTS + (("--correspond", {"action": "store_true"}),),
+    ),
+    "correspond": Command(_correspond, "geometric/categorical matching report", ade=False, options=_POINTS),
 }
+
+OUTPUTS = ("human", "json", *dict.fromkeys(mode for c in COMMANDS.values() for mode in c.outputs))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input like any other: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        raise CLIError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value file supplying default options")
-    common.add_argument("--output", choices=["human", "json", "csv", "dot"], default=None)
-    common.add_argument("--out-file", dest="out_file", default=None)
+    common.add_argument("--output", choices=OUTPUTS)
+    common.add_argument("--out-file")
 
     ade = argparse.ArgumentParser(add_help=False)
-    ade.add_argument("--family", choices=["A", "D", "E", "a", "d", "e"], default=None)
-    ade.add_argument("--rank", type=int, default=None)
+    ade.add_argument("--family", choices=["A", "D", "E", "a", "d", "e"])
+    ade.add_argument("--rank", type=int)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adesystole",
         description="Systoles and volumes of stability data on ADE root systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("roots", parents=[common, ade], help="root-system data")
-    sub.add_parser("identity", parents=[common, ade], help="exact coefficient identity check")
-
-    for name, help_text in [
-        ("volume", "volume of a charge along both routes"),
-        ("systole", "systole bracket of a charge"),
-        ("inequality", "systolic inequality report for a charge"),
-    ]:
-        p = sub.add_parser(name, parents=[common, ade], help=help_text)
-        p.add_argument("--charge", default=None, help="comma-separated a+bi entries")
-
-    for name, help_text in [
-        ("sample", "seeded ratio sampling"),
-        ("optimize", "pattern-search ratio maximization"),
-    ]:
-        p = sub.add_parser(name, parents=[common, ade], help=help_text)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--count", type=int, default=None)
-        p.add_argument("--restarts", type=int, default=None)
-
-    p = sub.add_parser("tilt-graph", parents=[common, ade], help="class-level tilt graph")
-    p.add_argument("--depth", type=int, default=None)
-
-    for name, help_text in [
-        ("milnor", "point-configuration systole and volume"),
-        ("correspond", "geometric/categorical matching report"),
-    ]:
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("--points", default=None, help="comma-separated a+bi points")
-        p.add_argument("--poly", default=None, help="comma-separated coefficients a_1..a_n")
-        if name == "milnor":
-            p.add_argument("--correspond", action="store_true")
+    for name, command in COMMANDS.items():
+        parents = [common, ade] if command.ade else [common]
+        p = sub.add_parser(name, parents=parents, help=command.help)
+        for flag, kwargs in command.options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.config:
         apply_config(args, read_config(args.config))
-    if args.output is None:
-        args.output = "human"
-    if args.output == "dot" and args.command != "tilt-graph":
-        raise CLIError("dot output is only available for tilt-graph")
-    return _COMMANDS[args.command](args)
+    command = COMMANDS[args.command]
+    output = args.output or "human"
+    if output not in ("human", "json", *command.outputs):
+        raise CLIError(f"{output} output is not available for this command")
+    inputs, rs = {}, None
+    if command.ade:
+        _require(args, "family", "rank")
+        ade = roots.AdeType(args.family.upper(), args.rank)
+        inputs = {"family": ade.family, "rank": ade.rank}
+        rs = roots.build_root_system(ade)
+    report = command.handler(args, rs)
+    if output in command.outputs:
+        text = command.outputs[output](report.source)
+    else:
+        inputs.update(report.inputs)
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "inputs": {k: v for k, v in inputs.items() if v is not None},
+            **report.fields,
+        }
+        text = json.dumps(_jsonable(payload), indent=2) if output == "json" else render_human(payload)
+    emit(text, args.out_file)
+    return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -177,11 +177,6 @@ def build_root_system(ade: AdeType) -> RootSystem:
     )
 
 
-def inverse_cartan(rs: RootSystem) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact rational inverse of the Cartan matrix."""
-    return rs.cartan_inv
-
-
 def count_positive_roots(ade: AdeType) -> int:
     """Closed-form count of positive roots: n(n+1)/2, n(n-1), or 36/63/120."""
     n = ade.rank

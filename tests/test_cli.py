@@ -1,6 +1,9 @@
 """CLI tests: parsing, dispatch, report formats, exit codes, config files."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +201,8 @@ def test_milnor_flags_collinear(capsys):
         ("roots", "--rank", "3"),
         ("sample", "--family", "A", "--rank", "2", "--count", "0"),
         ("identity", "--family", "E", "--rank", "8", "--output", "dot"),
+        ("roots", "--family", "X"),
+        ("roots", "--rank", "abc"),
     ],
 )
 def test_invalid_inputs_exit_one(capsys, argv):
@@ -236,6 +241,15 @@ def test_flags_override_config(capsys, tmp_path):
     assert payload["inputs"]["seed"] == 9
 
 
+def test_config_output_mode_is_checked(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("family = A\nrank = 2\noutput = xml\n")
+    code, out, err = run_cli(capsys, "roots", "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_config_file_bad_line(capsys, tmp_path):
     config = tmp_path / "broken.cfg"
     config.write_text("family A\n")
@@ -254,3 +268,23 @@ def test_out_file_json(capsys, tmp_path):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["pass"] is True
+
+
+# == README examples =========================================================
+
+def _readme_cli_examples():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI$.*?^```sh$(.*?)^```$", readme, re.M | re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("adesystole ")]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_examples(), ids=" ".join)
+def test_readme_examples_run(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    if "csv" in argv or "dot" in argv:
+        return
+    code, payload = run_json(capsys, *argv)
+    assert code == 0
+    assert payload["command"] == argv[0]

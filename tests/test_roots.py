@@ -19,7 +19,6 @@ from adesystole.roots import (
     cartan_pairing,
     count_positive_roots,
     coxeter_number,
-    inverse_cartan,
     verify_volume_identity,
 )
 
@@ -95,7 +94,7 @@ def test_e8_bourbaki_adjacency():
 def test_inverse_is_exact(ade):
     rs = build_root_system(ade)
     n = ade.rank
-    inv = inverse_cartan(rs)
+    inv = rs.cartan_inv
     for i in range(n):
         for j in range(n):
             entry = sum(Fraction(rs.cartan[i][k]) * inv[k][j] for k in range(n))
