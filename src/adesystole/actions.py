@@ -14,13 +14,12 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from adesystole.roots import RootClass, RootSystem, _reflect, cartan_pairing
-from adesystole.stability import REL_TOL, as_charge, systole_upper, volume_roots
+from adesystole.roots import RootClass, RootSystem, _reflect
+from adesystole.stability import REL_TOL, _nonzero_charge, as_charge, systole_upper, volume_roots
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -87,42 +86,68 @@ def canonical_heart(rs: RootSystem) -> HeartState:
     return HeartState(simples=tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
+def _integer_det(rows) -> int:
+    """Exact determinant of a square integer matrix by Bareiss elimination."""
+    a = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(len(a) - 1):
+        pivot = next((r for r in range(k, len(a)) if a[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, len(a)):
+            a[i] = [(x * a[k][k] - a[i][k] * y) // prev for x, y in zip(a[i], a[k])]
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
 def validate_heart(rs: RootSystem, heart: HeartState) -> None:
-    """Raise unless the simples form a basis and are signed positive roots."""
+    """Raise unless the simples are signed positive roots forming a basis."""
     n = rs.rank
     if len(heart.simples) != n:
         raise ValueError(f"heart has {len(heart.simples)} simples, expected {n}")
-    det = round(np.linalg.det(np.array(heart.simples, dtype=np.float64)))
-    if abs(det) != 1:
-        raise ValueError(f"simple classes do not form a basis (determinant {det})")
     positive = set(rs.positive_roots)
     for v in heart.simples:
         if v not in positive and tuple(-c for c in v) not in positive:
             raise ValueError(f"class {v} is not a positive root up to sign")
+    det = _integer_det(heart.simples)
+    if abs(det) != 1:
+        raise ValueError(f"simple classes do not form a basis (determinant {det})")
+
+
+def _tilt(cartan, simples: tuple[RootClass, ...], k0: int) -> tuple[RootClass, ...]:
+    """Class map of a tilt at 0-based position k0: s = simples[k0] is negated
+    and every other class m gains max(0, -<m, s>) copies of s, <m, s> = m.(Cs)."""
+    s = simples[k0]
+    cs = [sum(c * x for c, x in zip(row, s)) for row in cartan]
+    out = []
+    for pos, m in enumerate(simples):
+        if pos == k0:
+            out.append(tuple(-c for c in s))
+            continue
+        d = -sum(a * b for a, b in zip(m, cs))
+        out.append(tuple(a + d * b for a, b in zip(m, s)) if d > 0 else m)
+    return tuple(out)
 
 
 def simple_tilt(rs: RootSystem, heart: HeartState, k: int, direction: str) -> HeartState:
-    """Tilt the heart at the simple in position k (1-based).
+    """Tilt the heart at the simple in position k (1-based), by `_tilt`.
 
-    The tilted simple class is negated; every other class m gains
-    max(0, -<m, s>) copies of s, the Cartan pairing being taken on the
-    current class vectors.  Forward and backward tilts induce the same map
-    on classes (the twist and its inverse agree on the class lattice); the
-    direction is kept in the word.
+    Forward and backward tilts induce the same map on classes (the twist
+    and its inverse agree on the class lattice); the direction is kept in
+    the word.
     """
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"direction must be {FORWARD!r} or {BACKWARD!r}, got {direction!r}")
     if not 1 <= k <= heart.rank:
         raise IndexError(f"tilt position {k} out of range 1..{heart.rank}")
-    s = heart.simples[k - 1]
-    new_simples = []
-    for pos, m in enumerate(heart.simples):
-        if pos == k - 1:
-            new_simples.append(tuple(-c for c in s))
-        else:
-            d = max(0, -cartan_pairing(rs, m, s))
-            new_simples.append(tuple(c + d * cs for c, cs in zip(m, s)))
-    return HeartState(simples=tuple(new_simples), word=heart.word + ((k, direction),))
+    if any(len(m) != rs.rank for m in heart.simples):
+        raise ValueError("class vector length does not match rank")
+    simples = _tilt(rs.cartan, tuple(map(tuple, heart.simples)), k - 1)
+    return HeartState(simples, heart.word + ((k, direction),))
 
 
 @dataclass(frozen=True)
@@ -176,10 +201,11 @@ class ExchangeGraph:
 
 
 def exchange_graph(rs: RootSystem, max_depth: int) -> ExchangeGraph:
-    """Breadth-first tilt graph from the standard heart.
+    """Breadth-first tilt graph from the standard heart, one level at a time.
 
-    Every node within max_depth tilts of the start is expanded with all
-    2n moves (n positions, both directions) in a fixed order, so node
+    Every node within max_depth tilts of the start is expanded at each of
+    its n positions in order; forward and backward tilts share one class
+    map, so each position yields one target and two labelled edges.  Node
     numbering is deterministic.  Nodes first reached at depth max_depth
     are kept but not expanded; `complete` is False in that case.
     """
@@ -188,33 +214,29 @@ def exchange_graph(rs: RootSystem, max_depth: int) -> ExchangeGraph:
     start = canonical_heart(rs).simples
     index = {start: 0}
     nodes = [start]
-    depths = [0]
     edges = []
-    complete = True
-    queue = deque([0])
-    while queue:
-        src = queue.popleft()
-        if depths[src] >= max_depth:
-            complete = False
-            continue
-        heart = HeartState(simples=nodes[src])
-        for k in range(1, rs.rank + 1):
-            for direction in (FORWARD, BACKWARD):
-                target = simple_tilt(rs, heart, k, direction).simples
+    frontier = [0]
+    for _ in range(max_depth):
+        if not frontier:
+            break
+        level, frontier = frontier, []
+        for src in level:
+            for k in range(1, rs.rank + 1):
+                target = _tilt(rs.cartan, nodes[src], k - 1)
                 dst = index.get(target)
                 if dst is None:
                     dst = len(nodes)
                     index[target] = dst
                     nodes.append(target)
-                    depths.append(depths[src] + 1)
-                    queue.append(dst)
-                edges.append((src, dst, k, direction))
+                    frontier.append(dst)
+                edges.append((src, dst, k, FORWARD))
+                edges.append((src, dst, k, BACKWARD))
     return ExchangeGraph(
         rank=rs.rank,
         nodes=tuple(nodes),
         edges=tuple(edges),
         depth=max_depth,
-        complete=complete,
+        complete=not frontier,
     )
 
 
@@ -252,6 +274,13 @@ def _rel_err(measured: float, expected: float) -> float:
     return abs(measured - expected) / max(1.0, abs(expected))
 
 
+def _squares_in_range(rs: RootSystem, z: np.ndarray) -> bool:
+    """Whether z has finite nonzero entries and sys^2 and vol are positive finite floats."""
+    if not (np.isfinite(z).all() and z.all()):
+        return False
+    return all(0.0 < v < math.inf for v in (systole_upper(rs, z) ** 2, volume_roots(rs, z)))
+
+
 def verify_action_equivariance(
     rs: RootSystem, Z, zeta: complex, trials: int = 1, seed: int = 0
 ) -> EquivarianceReport:
@@ -264,14 +293,18 @@ def verify_action_equivariance(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    z0 = as_charge(Z, rs.rank)
-    if not z0.any():
-        raise ValueError("the zero charge has no systole")
+    z0 = _nonzero_charge(rs, Z)
+    if not _squares_in_range(rs, z0):
+        raise ValueError("the charge's systole squared or volume is out of floating-point range")
+    zeta = complex(zeta)
+    in_range = cmath.isfinite(zeta) and 2 * math.pi * abs(zeta.imag) < math.log(np.finfo(float).max)
+    if not (in_range and _squares_in_range(rs, act_scaling(z0, zeta))):
+        raise ValueError(f"zeta = {zeta} rescales the charge out of floating-point range")
     rng = np.random.default_rng(seed)
-    pairs = [(z0, complex(zeta))]
+    pairs = [(z0, zeta)]
     for _ in range(trials - 1):
         z = rng.standard_normal(rs.rank) + 1j * rng.standard_normal(rs.rank)
-        while not z.any():
+        while not z.all():
             z = rng.standard_normal(rs.rank) + 1j * rng.standard_normal(rs.rank)
         zt = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
         pairs.append((z, zt))

@@ -233,7 +233,12 @@ def _inequality(args, rs: roots.RootSystem) -> Report:
 
 
 def _search_config(args) -> search.SearchConfig:
-    given = {"sample_count": args.count, "seed": args.seed, "restarts": args.restarts}
+    """SearchConfig from the options given; sample has no --restarts, optimize no --count."""
+    given = {
+        "sample_count": getattr(args, "count", None),
+        "seed": args.seed,
+        "restarts": getattr(args, "restarts", None),
+    }
     return search.SearchConfig(**{k: v for k, v in given.items() if v is not None})
 
 
@@ -316,7 +321,13 @@ class Command:
 
 
 _CHARGE = (("--charge", {"help": "comma-separated a+bi entries"}),)
-_SEARCH = (("--seed", {"type": int}), ("--count", {"type": int}), ("--restarts", {"type": int}))
+_SEED = ("--seed", {"type": int})
+_SAMPLE = (_SEED, ("--count", {"type": int}))
+_OPTIMIZE = (_SEED, ("--restarts", {"type": int}))
+_DEPTH_HELP = (
+    "default 4; a closed graph has one node per Weyl group element: (n+1)! for A_n, "
+    "2^(n-1)*n! for D_n, 51,840 for E6; E8 (696,729,600) is out of reach"
+)
 _POINTS = (
     ("--points", {"help": "comma-separated a+bi points"}),
     ("--poly", {"help": "comma-separated coefficients a_1..a_n"}),
@@ -328,14 +339,14 @@ COMMANDS = {
     "volume": Command(_volume, "volume of a charge along both routes", options=_CHARGE),
     "systole": Command(_systole, "systole bracket of a charge", options=_CHARGE),
     "inequality": Command(_inequality, "systolic inequality report for a charge", options=_CHARGE),
-    "sample": Command(_sample, "seeded ratio sampling", options=_SEARCH, outputs={"csv": render_csv}),
+    "sample": Command(_sample, "seeded ratio sampling", options=_SAMPLE, outputs={"csv": render_csv}),
     "optimize": Command(
-        _optimize, "pattern-search ratio maximization", options=_SEARCH, outputs={"csv": render_csv}
+        _optimize, "pattern-search ratio maximization", options=_OPTIMIZE, outputs={"csv": render_csv}
     ),
     "tilt-graph": Command(
         _tilt_graph,
         "class-level tilt graph",
-        options=(("--depth", {"type": int}),),
+        options=(("--depth", {"type": int, "help": _DEPTH_HELP}),),
         outputs={"dot": actions.ExchangeGraph.to_dot},
     ),
     "milnor": Command(

@@ -39,7 +39,7 @@ class AdeType:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if not isinstance(self.rank, int):
+        if isinstance(self.rank, bool) or not isinstance(self.rank, int):
             raise ValueError(f"rank must be an integer, got {self.rank!r}")
         n = self.rank
         if self.family == "A" and not 1 <= n <= MAX_RANK_AD:

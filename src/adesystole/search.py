@@ -40,6 +40,10 @@ class SearchConfig:
     max_iters: int = 200
 
     def __post_init__(self):
+        for name in ("sample_count", "seed", "restarts", "max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
         if not 0 <= self.seed < 2**64:

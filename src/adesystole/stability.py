@@ -24,19 +24,23 @@ SLACK_REL_TOL = 1e-12
 
 
 def as_charge(values, rank: int | None = None) -> np.ndarray:
-    """Coerce a sequence of complex numbers into a charge vector."""
+    """Coerce a sequence of finite complex numbers into a charge vector."""
     z = np.asarray(values, dtype=np.complex128)
     if z.ndim != 1:
         raise ValueError(f"charge must be a flat vector, got shape {z.shape}")
     if rank is not None and z.shape[0] != rank:
         raise ValueError(f"charge has length {z.shape[0]}, expected {rank}")
+    if not np.isfinite(z).all():
+        raise ValueError("charge has a non-finite entry")
     return z
 
 
 def _nonzero_charge(rs: RootSystem, Z) -> np.ndarray:
+    """A charge with no zero entry: a stability condition sends no simple to 0."""
     z = as_charge(Z, rs.rank)
-    if not z.any():
-        raise ValueError("the zero charge has no systole")
+    if not z.all():
+        vertex = int(np.flatnonzero(z == 0)[0]) + 1
+        raise ValueError(f"charge is zero at vertex {vertex}; a zero entry has no systole")
     return z
 
 

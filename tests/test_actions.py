@@ -1,5 +1,6 @@
 """Action-layer tests: charge rescaling, reflections, tilting, tilt graph."""
 
+import hashlib
 import json
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from adesystole.actions import (
     BACKWARD,
     FORWARD,
+    HeartState,
     act_scaling,
     canonical_heart,
     exchange_graph,
@@ -18,7 +20,7 @@ from adesystole.actions import (
     validate_heart,
     verify_action_equivariance,
 )
-from adesystole.roots import AdeType, build_root_system
+from adesystole.roots import AdeType, build_root_system, count_positive_roots
 from adesystole.stability import systole_upper, volume_roots
 
 A1 = build_root_system(AdeType("A", 1))
@@ -31,6 +33,11 @@ SMALL_TYPES = (
     + [AdeType("D", n) for n in (4, 5)]
     + [AdeType("E", 6)]
 )
+
+
+def closing_depth(rs):
+    """One past the longest Weyl word, |Phi+|: every node is then expanded."""
+    return count_positive_roots(rs.ade) + 1
 
 
 # == Rescaling ===============================================================
@@ -187,14 +194,15 @@ def test_tilt_sequences_preserve_invariants(ade):
 
 
 def test_validate_heart_rejects_bad_states():
-    from adesystole.actions import HeartState
-
     with pytest.raises(ValueError):
         validate_heart(A2, HeartState(simples=((1, 0),)))
     with pytest.raises(ValueError):
         validate_heart(A2, HeartState(simples=((1, 0), (2, 1))))  # basis but (2,1) not a root
     with pytest.raises(ValueError):
         validate_heart(A2, HeartState(simples=((1, 0), (1, 0))))  # not a basis
+    # Four positive roots of D4 spanning a sublattice of index 2.
+    with pytest.raises(ValueError, match="determinant 2"):
+        validate_heart(D4, HeartState(simples=((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 2, 1, 1))))
 
 
 # == Exchange graph ==========================================================
@@ -216,15 +224,42 @@ def test_a1_graph_depth_four_stays_two_nodes():
 
 
 @pytest.mark.parametrize(
-    "rs,depth,expected",
-    [(A2, 4, 6), (A3, 8, 24), (D4, 14, 192)],
-    ids=["A2", "A3", "D4"],
+    "ade,weyl_order",
+    [
+        (AdeType("A", 1), 2),
+        (AdeType("A", 2), 6),
+        (AdeType("A", 3), 24),
+        (AdeType("A", 4), 120),
+        (AdeType("A", 5), 720),
+        (AdeType("D", 4), 192),
+        (AdeType("D", 5), 1920),
+    ],
+    ids=["A1", "A2", "A3", "A4", "A5", "D4", "D5"],
 )
-def test_closed_graph_sizes(rs, depth, expected):
-    graph = exchange_graph(rs, depth)
+def test_closed_graph_sizes(ade, weyl_order):
+    # A closed graph has one node per Weyl group element (Humphreys).
+    rs = build_root_system(ade)
+    graph = exchange_graph(rs, closing_depth(rs))
     assert graph.complete
-    assert len(graph.nodes) == expected
+    assert len(graph.nodes) == weyl_order
+    assert len(graph.edges) == 2 * rs.rank * weyl_order
     assert set(graph.out_degrees()) == {2 * rs.rank}
+
+
+@pytest.mark.parametrize("rs", [A3, D4], ids=["A3", "D4"])
+def test_graph_edges_match_simple_tilt(rs):
+    graph = exchange_graph(rs, closing_depth(rs))
+    assert graph.complete
+    for src, dst, k, direction in graph.edges:
+        tilted = simple_tilt(rs, HeartState(simples=graph.nodes[src]), k, direction)
+        assert tilted.simples == graph.nodes[dst]
+
+
+def test_closed_d4_exports_are_pinned():
+    graph = exchange_graph(D4, closing_depth(D4))
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    assert sha(graph.to_json()) == "353633dee4002ed7839eae3b6333e0db52ddc246d6b087e8672c485798af02ab"
+    assert sha(graph.to_dot()) == "4db3da51f1627ab00dbe6d79e2f5182e9da200691170da5b7eb8f43e921afa73"
 
 
 def test_depth_cap_leaves_frontier_unexpanded():
@@ -307,6 +342,19 @@ def test_equivariance_rejects_bad_inputs():
         verify_action_equivariance(A2, [0, 0], 1j)
     with pytest.raises(ValueError):
         verify_action_equivariance(A2, [1j, 1j], 1j, trials=0)
+    with pytest.raises(ValueError, match="systole squared"):
+        verify_action_equivariance(A2, [1e-200j, 1j], 0)
+
+
+@pytest.mark.parametrize("zeta", [300j, -300j, 200j, -200j, complex("nan+1j"), complex(0, math.inf)])
+def test_equivariance_rejects_zeta_out_of_range(zeta):
+    # at |Im zeta| = 200 the rescaled charge is finite but its volume overflows
+    with pytest.raises(ValueError, match="zeta"):
+        verify_action_equivariance(A2, [1j, 1j], zeta)
+
+
+def test_equivariance_large_zeta_in_range_passes():
+    assert verify_action_equivariance(A2, [1j, 1j], 0.5 + 100j).passed
 
 
 def test_ratio_invariant_under_scaling():

@@ -203,6 +203,9 @@ def test_milnor_flags_collinear(capsys):
         ("identity", "--family", "E", "--rank", "8", "--output", "dot"),
         ("roots", "--family", "X"),
         ("roots", "--rank", "abc"),
+        ("optimize", "--family", "A", "--rank", "2", "--count", "3"),
+        ("sample", "--family", "A", "--rank", "2", "--restarts", "2"),
+        ("inequality", "--family", "A", "--rank", "2", "--charge", "0+0i,0+1i"),
     ],
 )
 def test_invalid_inputs_exit_one(capsys, argv):

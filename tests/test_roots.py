@@ -44,6 +44,13 @@ def test_invalid_types_rejected(family, rank):
         AdeType(family, rank)
 
 
+def test_bool_rank_rejected():
+    # bool is an int subclass; AdeType("A", True) would otherwise be "ATrue".
+    for rank in (True, False):
+        with pytest.raises(ValueError):
+            AdeType("A", rank)
+
+
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 32), ("D", 4), ("D", 32), ("E", 6)])
 def test_valid_types_accepted(family, rank):
     assert AdeType(family, rank).rank == rank

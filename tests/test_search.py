@@ -31,6 +31,12 @@ def test_config_rejects_bad_values(kwargs):
         SearchConfig(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["sample_count", "seed", "restarts", "max_iters"])
+def test_config_rejects_bool_integers(name):
+    with pytest.raises(ValueError):
+        SearchConfig(**{name: True})
+
+
 # == Sampling ================================================================
 
 def test_a1_all_ratios_equal_two():

@@ -48,6 +48,14 @@ def test_as_charge_shape_checks():
         as_charge([1j, 2j], rank=3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+def test_as_charge_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        as_charge([bad, 1j])
+    with pytest.raises(ValueError):
+        check_inequality(A2, [bad, 1j])
+
+
 def test_evaluate_charge_basis_vector():
     assert evaluate_charge(A3, [3j, 1j, 2j], (1, 0, 0)) == 3j
 
@@ -122,10 +130,24 @@ def test_systole_lower_examples():
     assert systole_lower(A1, [1j]) == 1.0
 
 
+@pytest.mark.parametrize("ade", [AdeType("A", 3), AdeType("D", 5), AdeType("E", 8)])
+def test_report_fields_equal_public_functions(ade):
+    rs = build_root_system(ade)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        z = rng.standard_normal(rs.rank) + 1j * rng.standard_normal(rs.rank)
+        report = check_inequality(rs, z)
+        assert report.volume == volume_roots(rs, z)
+        assert report.sys_lower == systole_lower(rs, z)
+        assert report.sys_upper == systole_upper(rs, z)
+
+
 def test_zero_charge_rejected():
     for fn in (systole_upper, systole_lower, check_inequality):
         with pytest.raises(ValueError):
             fn(A2, [0, 0])
+        with pytest.raises(ValueError, match="vertex 1"):
+            fn(A2, [0, 1j])
 
 
 @pytest.mark.parametrize("ade", ALL_SMALL_TYPES[:8], ids=str)
