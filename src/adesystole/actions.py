@@ -5,8 +5,8 @@ reflection twist at a vertex, which acts on class vectors as the simple
 reflection and on charges by precomposition.  Hearts are tracked only
 through the classes of their simples; a tilt at one simple replaces its
 class by the negative and corrects the others through the Cartan pairing.
-Iterating tilts from the standard heart and deduplicating by class tuple
-yields a finite exchange graph.
+Iterating tilts from the standard heart and deduplicating hearts by their
+classes yields a finite exchange graph.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass
+from itertools import cycle
 
 import numpy as np
 
@@ -118,19 +120,20 @@ def validate_heart(rs: RootSystem, heart: HeartState) -> None:
         raise ValueError(f"simple classes do not form a basis (determinant {det})")
 
 
-def _tilt(cartan, simples: tuple[RootClass, ...], k0: int) -> tuple[RootClass, ...]:
-    """Class map of a tilt at 0-based position k0: s = simples[k0] is negated
-    and every other class m gains max(0, -<m, s>) copies of s, <m, s> = m.(Cs)."""
-    s = simples[k0]
-    cs = [sum(c * x for c, x in zip(row, s)) for row in cartan]
-    out = []
-    for pos, m in enumerate(simples):
-        if pos == k0:
-            out.append(tuple(-c for c in s))
-            continue
-        d = -sum(a * b for a, b in zip(m, cs))
-        out.append(tuple(a + d * b for a, b in zip(m, s)) if d > 0 else m)
-    return tuple(out)
+def _tilt(cartan: np.ndarray, stack: np.ndarray, k0: int) -> np.ndarray:
+    """Class map of a tilt at 0-based position k0 on a stack of hearts.
+
+    `stack` has shape (f, n, n); row k of each heart is the class of its
+    k-th simple.  In every heart s = row k0 is negated and every other class
+    m gains max(0, -<m, s>) copies of s, <m, s> = m.(Cs), with one pairing
+    product for the whole stack.  On signed roots every partial sum stays
+    within +-96, so int8 arithmetic is exact.
+    """
+    s = stack[:, k0]
+    gain = np.maximum(-np.einsum("fpj,fj->fp", stack, s @ cartan), 0)
+    out = stack + gain[:, :, None] * s[:, None, :]
+    out[:, k0] = -s
+    return out
 
 
 def simple_tilt(rs: RootSystem, heart: HeartState, k: int, direction: str) -> HeartState:
@@ -146,7 +149,8 @@ def simple_tilt(rs: RootSystem, heart: HeartState, k: int, direction: str) -> He
         raise IndexError(f"tilt position {k} out of range 1..{heart.rank}")
     if any(len(m) != rs.rank for m in heart.simples):
         raise ValueError("class vector length does not match rank")
-    simples = _tilt(rs.cartan, tuple(map(tuple, heart.simples)), k - 1)
+    stack = np.array([heart.simples], dtype=np.int64)
+    simples = tuple(map(tuple, _tilt(rs.cartan_array, stack, k - 1)[0].tolist()))
     return HeartState(simples, heart.word + ((k, direction),))
 
 
@@ -171,16 +175,21 @@ class ExchangeGraph:
             degrees[src] += 1
         return degrees
 
-    def node_label(self, index: int) -> str:
-        return ";".join(",".join(str(c) for c in v) for v in self.nodes[index])
+    def _vector_texts(self, render) -> dict:
+        """render(v) for each distinct class vector v, built once."""
+        return {v: render(v) for v in {v for node in self.nodes for v in node}}
 
     def to_dot(self) -> str:
+        label = self._vector_texts(lambda v: ",".join(map(str, v)))
         lines = ["digraph tilts {"]
-        for idx in range(len(self.nodes)):
-            lines.append(f'  n{idx} [label="{self.node_label(idx)}"];')
-        for src, dst, pos, direction in self.edges:
-            tag = "F" if direction == FORWARD else "B"
-            lines.append(f'  n{src} -> n{dst} [label="{tag}:{pos}"];')
+        lines.extend(
+            f'  n{idx} [label="{";".join(map(label.__getitem__, node))}"];'
+            for idx, node in enumerate(self.nodes)
+        )
+        lines.extend(
+            f'  n{src} -> n{dst} [label="{"F" if direction == FORWARD else "B"}:{pos}"];'
+            for src, dst, pos, direction in self.edges
+        )
         lines.append("}")
         return "\n".join(lines)
 
@@ -196,8 +205,44 @@ class ExchangeGraph:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.adjacency(), indent=2)
+    def to_json(self, head: dict | None = None) -> str:
+        """`head`'s fields, then the adjacency, as json.dumps(..., indent=2) renders them.
+
+        The nodes and edges are filled into templates; the text of each
+        distinct class vector is built once.
+        """
+        fields = {**(head or {}), "rank": self.rank, "depth": self.depth, "complete": self.complete}
+        scalars = ",\n".join(
+            f"  {json.dumps(key)}: " + json.dumps(value, indent=2).replace("\n", "\n  ")
+            for key, value in fields.items()
+        )
+        vector = self._vector_texts(lambda v: _json_item([f"        {c}" for c in v], "      "))
+        nodes = [_json_item([vector[v] for v in node], "    ") for node in self.nodes]
+        edges = _json_array(
+            [_JSON_EDGE % (src, dst, pos, _JSON_DIRECTION[d]) for src, dst, pos, d in self.edges], "  "
+        )
+        pieces = ["{\n", scalars, ',\n  "nodes": ', *_json_array(nodes, "  "), ',\n  "edges": ', *edges]
+        return "".join([*pieces, "\n}"])
+
+
+def _json_array(items: list[str], indent: str) -> list[str]:
+    """Pieces of a JSON array of rendered, already indented items, closed at
+    `indent`; the caller joins them once, so a large array is copied once."""
+    return ["[\n", ",\n".join(items), f"\n{indent}]"] if items else ["[]"]
+
+
+def _json_item(items: list[str], indent: str) -> str:
+    """A JSON array nested in another array, itself indented by `indent`."""
+    return indent + "".join(_json_array(items, indent))
+
+
+_JSON_DIRECTION = {d: json.dumps(d) for d in (FORWARD, BACKWARD)}
+_JSON_EDGE = """    {
+      "src": %d,
+      "dst": %d,
+      "position": %d,
+      "direction": %s
+    }"""
 
 
 def exchange_graph(rs: RootSystem, max_depth: int) -> ExchangeGraph:
@@ -205,39 +250,56 @@ def exchange_graph(rs: RootSystem, max_depth: int) -> ExchangeGraph:
 
     Every node within max_depth tilts of the start is expanded at each of
     its n positions in order; forward and backward tilts share one class
-    map, so each position yields one target and two labelled edges.  Node
-    numbering is deterministic.  Nodes first reached at depth max_depth
-    are kept but not expanded; `complete` is False in that case.
+    map, so each position yields one target and two labelled edges.  A
+    level is one (f, n, n) int8 array that `_tilt` maps at each position
+    in one call, and nodes are keyed by their int8 bytes.  Node numbering
+    is deterministic: source-major, position-minor.  Nodes first reached
+    at depth max_depth are kept but not expanded; `complete` is False in
+    that case.
     """
+    if isinstance(max_depth, bool) or not isinstance(max_depth, numbers.Integral):
+        raise ValueError(f"max_depth must be an integer, got {max_depth!r}")
     if max_depth < 1:
         raise ValueError(f"max_depth must be at least 1, got {max_depth}")
-    start = canonical_heart(rs).simples
-    index = {start: 0}
-    nodes = [start]
+    n = rs.rank
+    cartan = rs.cartan_array.astype(np.int8)
+    level = np.eye(n, dtype=np.int8)[None]
+    index = {level.tobytes(): 0}
+    levels = [level]
     edges = []
-    frontier = [0]
     for _ in range(max_depth):
-        if not frontier:
+        if not len(level):
             break
-        level, frontier = frontier, []
-        for src in level:
-            for k in range(1, rs.rank + 1):
-                target = _tilt(rs.cartan, nodes[src], k - 1)
-                dst = index.get(target)
-                if dst is None:
-                    dst = len(nodes)
-                    index[target] = dst
-                    nodes.append(target)
-                    frontier.append(dst)
-                edges.append((src, dst, k, FORWARD))
-                edges.append((src, dst, k, BACKWARD))
+        first, known = len(index) - len(level), len(index)
+        targets = np.stack([_tilt(cartan, level, k) for k in range(n)], axis=1)
+        dsts = np.array([index.setdefault(key, len(index)) for key in _row_bytes(targets, n * n)])
+        ids, rows = np.unique(dsts, return_index=True)
+        level = targets.reshape(-1, n, n)[rows[ids >= known]]
+        levels.append(level)
+        srcs = np.repeat(np.arange(first, known), 2 * n).tolist()
+        positions = np.tile(np.repeat(np.arange(1, n + 1), 2), known - first).tolist()
+        edges.extend(zip(srcs, np.repeat(dsts, 2).tolist(), positions, cycle((FORWARD, BACKWARD))))
     return ExchangeGraph(
-        rank=rs.rank,
-        nodes=tuple(nodes),
+        rank=n,
+        nodes=_node_tuples(np.concatenate(levels)),
         edges=tuple(edges),
         depth=max_depth,
-        complete=not frontier,
+        complete=not len(level),
     )
+
+
+def _row_bytes(array: np.ndarray, width: int) -> list[bytes]:
+    """The raw bytes of each run of `width` entries of a C-contiguous array."""
+    return array.reshape(-1, width).view(f"V{array.itemsize * width}").ravel().tolist()
+
+
+def _node_tuples(stack: np.ndarray) -> tuple[tuple[RootClass, ...], ...]:
+    """Nodes as tuples of class tuples; equal classes share one tuple."""
+    n = stack.shape[1]
+    keys = _row_bytes(stack, n)
+    vector = {key: tuple(np.frombuffer(key, dtype=stack.dtype).tolist()) for key in set(keys)}
+    classes = list(map(vector.__getitem__, keys))
+    return tuple(tuple(classes[i : i + n]) for i in range(0, len(classes), n))
 
 
 @dataclass(frozen=True)

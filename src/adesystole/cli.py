@@ -261,9 +261,9 @@ def _optimize(args, rs: roots.RootSystem) -> Report:
 
 
 def _tilt_graph(args, rs: roots.RootSystem) -> Report:
+    """The graph is the source of every output mode; only human output builds its adjacency."""
     depth = args.depth if args.depth is not None else 4
-    graph = actions.exchange_graph(rs, depth)
-    return Report(graph.adjacency(), True, {"depth": depth}, graph)
+    return Report({}, True, {"depth": depth}, actions.exchange_graph(rs, depth))
 
 
 def _configuration(args) -> milnor.PointConfiguration:
@@ -307,11 +307,18 @@ def _correspond(args, _rs) -> Report:
     return Report(fields, report.passed, {"points": args.points, "poly": args.poly})
 
 
+RENDERERS = {
+    "human": lambda payload, source: render_human(payload),
+    "json": lambda payload, source: json.dumps(_jsonable(payload), indent=2),
+}
+
+
 @dataclass(frozen=True)
 class Command:
     """One subcommand.  `ade` adds --family/--rank and hands the handler the
     root system; `options` are (flag, add_argument kwargs) pairs; `outputs`
-    maps each mode beyond human/json to a renderer of `Report.source`."""
+    maps each mode beyond human/json, and any mode whose `RENDERERS` entry
+    it replaces, to a renderer of the payload and `Report.source`."""
 
     handler: Callable[[argparse.Namespace, roots.RootSystem | None], Report]
     help: str
@@ -321,6 +328,7 @@ class Command:
 
 
 _CHARGE = (("--charge", {"help": "comma-separated a+bi entries"}),)
+_CSV = {"csv": lambda payload, result: render_csv(result)}
 _SEED = ("--seed", {"type": int})
 _SAMPLE = (_SEED, ("--count", {"type": int}))
 _OPTIMIZE = (_SEED, ("--restarts", {"type": int}))
@@ -339,15 +347,17 @@ COMMANDS = {
     "volume": Command(_volume, "volume of a charge along both routes", options=_CHARGE),
     "systole": Command(_systole, "systole bracket of a charge", options=_CHARGE),
     "inequality": Command(_inequality, "systolic inequality report for a charge", options=_CHARGE),
-    "sample": Command(_sample, "seeded ratio sampling", options=_SAMPLE, outputs={"csv": render_csv}),
-    "optimize": Command(
-        _optimize, "pattern-search ratio maximization", options=_OPTIMIZE, outputs={"csv": render_csv}
-    ),
+    "sample": Command(_sample, "seeded ratio sampling", options=_SAMPLE, outputs=_CSV),
+    "optimize": Command(_optimize, "pattern-search ratio maximization", options=_OPTIMIZE, outputs=_CSV),
     "tilt-graph": Command(
         _tilt_graph,
         "class-level tilt graph",
         options=(("--depth", {"type": int, "help": _DEPTH_HELP}),),
-        outputs={"dot": actions.ExchangeGraph.to_dot},
+        outputs={
+            "human": lambda payload, graph: render_human({**payload, **graph.adjacency()}),
+            "json": lambda payload, graph: graph.to_json(payload),
+            "dot": lambda payload, graph: graph.to_dot(),
+        },
     ),
     "milnor": Command(
         _milnor,
@@ -358,7 +368,7 @@ COMMANDS = {
     "correspond": Command(_correspond, "geometric/categorical matching report", ade=False, options=_POINTS),
 }
 
-OUTPUTS = ("human", "json", *dict.fromkeys(mode for c in COMMANDS.values() for mode in c.outputs))
+OUTPUTS = tuple(dict.fromkeys([*RENDERERS, *(mode for c in COMMANDS.values() for mode in c.outputs)]))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -397,7 +407,7 @@ def run(argv=None) -> int:
         apply_config(args, read_config(args.config))
     command = COMMANDS[args.command]
     output = args.output or "human"
-    if output not in ("human", "json", *command.outputs):
+    if output not in (*RENDERERS, *command.outputs):
         raise CLIError(f"{output} output is not available for this command")
     inputs, rs = {}, None
     if command.ade:
@@ -406,18 +416,15 @@ def run(argv=None) -> int:
         inputs = {"family": ade.family, "rank": ade.rank}
         rs = roots.build_root_system(ade)
     report = command.handler(args, rs)
-    if output in command.outputs:
-        text = command.outputs[output](report.source)
-    else:
-        inputs.update(report.inputs)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "inputs": {k: v for k, v in inputs.items() if v is not None},
-            **report.fields,
-        }
-        text = json.dumps(_jsonable(payload), indent=2) if output == "json" else render_human(payload)
-    emit(text, args.out_file)
+    inputs.update(report.inputs)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": args.command,
+        "inputs": {k: v for k, v in inputs.items() if v is not None},
+        **report.fields,
+    }
+    render = {**RENDERERS, **command.outputs}[output]
+    emit(render(payload, report.source), args.out_file)
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 

@@ -11,6 +11,7 @@ counterparts up to factors of pi.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,12 +55,16 @@ def _triangle_area(a: complex, b: complex, c: complex) -> float:
 def validate_configuration(raw_points, ordering=None) -> PointConfiguration:
     """Center, deduplicate-check, and label a raw list of points.
 
-    The centroid is subtracted on construction.  Points closer together
-    than DISTINCT_REL_TOL times the configuration scale are rejected with
-    the offending pair.  The default labeling sorts by (real, imaginary);
-    pass `ordering` (a permutation of 0..n) to override it.
+    Every point must be finite; the centroid is subtracted on construction.
+    Points closer together than DISTINCT_REL_TOL times the configuration
+    scale are rejected with the offending pair.  The default labeling sorts
+    by (real, imaginary); pass `ordering` (a permutation of 0..n) to
+    override it.
     """
     pts = [complex(p) for p in raw_points]
+    for k, p in enumerate(pts, 1):
+        if not cmath.isfinite(p):
+            raise ValueError(f"point {k} is not finite: {p}")
     if len(pts) < 2:
         raise ValueError(f"need at least 2 points, got {len(pts)}")
     center = sum(pts) / len(pts)

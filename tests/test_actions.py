@@ -10,6 +10,7 @@ import pytest
 from adesystole.actions import (
     BACKWARD,
     FORWARD,
+    ExchangeGraph,
     HeartState,
     act_scaling,
     canonical_heart,
@@ -26,7 +27,10 @@ from adesystole.stability import systole_upper, volume_roots
 A1 = build_root_system(AdeType("A", 1))
 A2 = build_root_system(AdeType("A", 2))
 A3 = build_root_system(AdeType("A", 3))
+A5 = build_root_system(AdeType("A", 5))
 D4 = build_root_system(AdeType("D", 4))
+D5 = build_root_system(AdeType("D", 5))
+E6 = build_root_system(AdeType("E", 6))
 
 SMALL_TYPES = (
     [AdeType("A", n) for n in range(1, 6)]
@@ -246,7 +250,15 @@ def test_closed_graph_sizes(ade, weyl_order):
     assert set(graph.out_degrees()) == {2 * rs.rank}
 
 
-@pytest.mark.parametrize("rs", [A3, D4], ids=["A3", "D4"])
+def test_closed_e6_graph():
+    graph = exchange_graph(E6, 37)
+    assert graph.complete
+    assert len(graph.nodes) == 51_840
+    assert len(graph.edges) == 622_080
+    assert set(graph.out_degrees()) == {12}
+
+
+@pytest.mark.parametrize("rs", [A3, D4, A5, D5], ids=["A3", "D4", "A5", "D5"])
 def test_graph_edges_match_simple_tilt(rs):
     graph = exchange_graph(rs, closing_depth(rs))
     assert graph.complete
@@ -260,6 +272,38 @@ def test_closed_d4_exports_are_pinned():
     sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
     assert sha(graph.to_json()) == "353633dee4002ed7839eae3b6333e0db52ddc246d6b087e8672c485798af02ab"
     assert sha(graph.to_dot()) == "4db3da51f1627ab00dbe6d79e2f5182e9da200691170da5b7eb8f43e921afa73"
+
+
+def test_closed_a5_d5_exports_are_pinned():
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    a5 = exchange_graph(A5, closing_depth(A5))
+    assert sha(a5.to_json()) == "ddef7af7afd519f4f75241af6fbf9495b59fb00e3a6f0262dd4b4525f611904b"
+    assert sha(a5.to_dot()) == "17404717bbfe71e60f6de195b85ccc2fa046ae9700c22a9196c75cae9e1778d5"
+    d5 = exchange_graph(D5, closing_depth(D5))
+    assert sha(d5.to_json()) == "8075ac4f6cb3ad90eb7efb92c72d2e4986d7283894cfbd0676bdc4afee688970"
+    assert sha(d5.to_dot()) == "3220e4ced1554753480a8c02cb8e2f53c356f0e5d8de5f8e2c7a25eaf5186119"
+
+
+def _json_cases():
+    ades = [AdeType("A", n) for n in range(1, 7)] + [AdeType("D", 4), AdeType("D", 5)]
+    for ade in ades:
+        for depth in (1, 2, 3, count_positive_roots(ade) + 1):
+            yield pytest.param(ade, depth, id=f"{ade}-{depth}")
+    for depth in (1, 2, 3, 4):
+        yield pytest.param(AdeType("E", 6), depth, id=f"E6-{depth}")
+
+
+@pytest.mark.parametrize("ade,depth", _json_cases())
+def test_to_json_matches_stdlib_indent(ade, depth):
+    graph = exchange_graph(build_root_system(ade), depth)
+    assert graph.to_json() == json.dumps(graph.adjacency(), indent=2)
+
+
+def test_to_json_head_and_empty_arrays_match_stdlib():
+    head = {"schema_version": 1, "inputs": {"family": "A", "tag": 'q"\n'}, "empty": {}, "none": []}
+    graph = ExchangeGraph(rank=1, nodes=(((1,),),), edges=(), depth=1, complete=False)
+    assert graph.to_json() == json.dumps(graph.adjacency(), indent=2)
+    assert graph.to_json(head) == json.dumps({**head, **graph.adjacency()}, indent=2)
 
 
 def test_depth_cap_leaves_frontier_unexpanded():
@@ -281,6 +325,12 @@ def test_graph_determinism():
 def test_graph_requires_positive_depth():
     with pytest.raises(ValueError):
         exchange_graph(A2, 0)
+
+
+@pytest.mark.parametrize("depth", [True, 2.5], ids=["bool", "float"])
+def test_graph_rejects_bool_and_non_integer_depth(depth):
+    with pytest.raises(ValueError, match="max_depth must be an integer"):
+        exchange_graph(A2, depth)
 
 
 def test_dot_export():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from adesystole import cli
+from adesystole import actions, cli, roots
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +161,25 @@ def test_tilt_graph_json_and_dot(capsys, tmp_path):
     )
     assert code == 0
     assert dot_file.read_text().startswith("digraph tilts {")
+
+
+@pytest.mark.parametrize("family,rank,depth", [("A", 2, 4), ("D", 4, 3)])
+def test_tilt_graph_json_equals_stdlib_rendering(capsys, tmp_path, family, rank, depth):
+    graph = actions.exchange_graph(roots.build_root_system(roots.AdeType(family, rank)), depth)
+    payload = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "command": "tilt-graph",
+        "inputs": {"family": family, "rank": rank, "depth": depth},
+        **graph.adjacency(),
+    }
+    expected = json.dumps(payload, indent=2) + "\n"
+    argv = ["tilt-graph", "--family", family, "--rank", str(rank), "--depth", str(depth), "--output", "json"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")
+    target = tmp_path / "graph.json"
+    code, out, err = run_cli(capsys, *argv, "--out-file", str(target))
+    assert (code, out, err) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == expected
 
 
 def test_milnor_with_correspondence(capsys):

@@ -54,6 +54,12 @@ def test_duplicate_points_rejected_with_pair():
         validate_configuration([1, 1])
 
 
+@pytest.mark.parametrize("bad", [math.nan, complex(0, math.inf), complex(-math.inf, 1)])
+def test_non_finite_point_rejected_by_position(bad):
+    with pytest.raises(ValueError, match="point 2 is not finite"):
+        validate_configuration([1, bad, 1j])
+
+
 def test_too_few_points_rejected():
     with pytest.raises(ValueError):
         validate_configuration([1])
