@@ -76,26 +76,35 @@ def _jsonable(value):
 
 
 def _fmt17(value):
+    """`_jsonable(value)` with every float at 17 significant digits, in one walk."""
+    if isinstance(value, (int, str)):
+        return value  # the common leaves; the Fraction check in _jsonable is slow
     if isinstance(value, float):
         return f"{value:.17g}"
     if isinstance(value, dict):
         return {k: _fmt17(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_fmt17(v) for v in value]
-    return value
+    return _jsonable(value)
 
 
 def render_human(payload: dict) -> str:
+    """One `key: value` line per field; a list whose one-line JSON is longer
+    than 100 characters gets one indented line per item instead."""
     lines = []
     for key, value in payload.items():
-        value = _fmt17(_jsonable(value))
-        if isinstance(value, (dict, list)):
-            text = json.dumps(value)
-            if len(text) > 100 and isinstance(value, list):
+        value = _fmt17(value)
+        if isinstance(value, list):
+            # With default separators json.dumps(value) is exactly this join.
+            parts = [json.dumps(item) for item in value]
+            text = "[" + ", ".join(parts) + "]"
+            if len(text) > 100:
                 lines.append(f"{key}:")
-                lines.extend(f"  {json.dumps(item)}" for item in value)
+                lines.extend(f"  {part}" for part in parts)
                 continue
             lines.append(f"{key}: {text}")
+        elif isinstance(value, dict):
+            lines.append(f"{key}: {json.dumps(value)}")
         else:
             lines.append(f"{key}: {value}")
     return "\n".join(lines)

@@ -47,6 +47,17 @@ class PointConfiguration:
     def labeled(self) -> tuple[complex, ...]:
         return tuple(self.points[k] for k in self.ordering)
 
+    @cached_property
+    def segments(self) -> SegmentLengths:
+        """All pairwise distances, indexed so that l_ij joins points i and j+1;
+        built once and shared by the geometric systole and volume."""
+        zeta = self.labeled
+        n = self.n
+        entries = tuple(
+            (i, j, abs(zeta[j] - zeta[i - 1])) for i in range(1, n + 1) for j in range(i, n + 1)
+        )
+        return SegmentLengths(n=n, entries=entries)
+
 
 def _triangle_area(a: complex, b: complex, c: complex) -> float:
     return abs(((b - a) * (c - a).conjugate()).imag) / 2.0
@@ -114,21 +125,17 @@ class SegmentLengths:
 
 def segment_lengths(p: PointConfiguration) -> SegmentLengths:
     """All pairwise distances, indexed so that l_ij joins points i and j+1."""
-    zeta = p.labeled
-    entries = tuple(
-        (i, j, abs(zeta[j] - zeta[i - 1])) for i in range(1, p.n + 1) for j in range(i, p.n + 1)
-    )
-    return SegmentLengths(n=p.n, entries=entries)
+    return p.segments
 
 
 def geometric_systole(p: PointConfiguration) -> float:
     """pi times the shortest segment between two of the points."""
-    return math.pi * segment_lengths(p).min()
+    return math.pi * p.segments.min()
 
 
 def geometric_volume(p: PointConfiguration) -> float:
     """pi^2 / (n+1) times the sum of all squared segment lengths."""
-    return math.pi**2 / (p.n + 1) * segment_lengths(p).sum_squares()
+    return math.pi**2 / (p.n + 1) * p.segments.sum_squares()
 
 
 def induced_charge(p: PointConfiguration) -> np.ndarray:

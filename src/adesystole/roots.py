@@ -160,6 +160,12 @@ class RootSystem:
         """Positive roots stacked as rows of a float array."""
         return np.array(self.positive_roots, dtype=np.float64)
 
+    @cached_property
+    def complex_root_matrix(self) -> np.ndarray:
+        """`root_matrix` cast once to complex128, so a product with a complex
+        charge does not cast the whole matrix again on every call."""
+        return self.root_matrix.astype(np.complex128)
+
 
 @lru_cache(maxsize=None)
 def build_root_system(ade: AdeType) -> RootSystem:

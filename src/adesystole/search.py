@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from adesystole.roots import RootSystem
+from adesystole.stability import _root_moduli, _systole_upper, _volume, systole_lower
 
 # Phases are kept this far inside (0, 1); the supremum can sit on the wall.
 PHASE_MARGIN = 1e-7
@@ -64,7 +65,10 @@ class SearchResult:
 
     The per-point arrays ratios / sys_upper / sys_lower / volumes are
     indexed by sample (or by restart, for the optimizer); the histogram
-    buckets cover [0, bound].
+    buckets cover [0, bound] and count the same points.  For sampling,
+    samples_violating counts samples over the bound; for the optimizer it
+    counts every ratio evaluation over the bound (each start and each
+    trial move), so it is not a count of restarts.
     """
 
     best_ratio: float
@@ -108,7 +112,7 @@ def _draw_charges(rng: np.random.Generator, count: int, rank: int) -> np.ndarray
 
 def _batch_stats(rs: RootSystem, charges: np.ndarray):
     """Per-row (sys_upper, sys_lower, volume) for a block of charges."""
-    roots_t = rs.root_matrix.T.astype(np.complex128)
+    roots_t = rs.complex_root_matrix.T
     sys_up = np.empty(charges.shape[0])
     sys_lo = np.empty(charges.shape[0])
     vol = np.empty(charges.shape[0])
@@ -152,19 +156,11 @@ def _charge_from_params(x: np.ndarray, rank: int) -> np.ndarray:
     return 10.0 ** x[rank:] * np.exp(1j * np.pi * x[:rank])
 
 
-def _ratio_and_parts(rs: RootSystem, x: np.ndarray):
-    z = _charge_from_params(x, rs.rank)
-    moduli = np.abs(rs.root_matrix @ z)
-    vol = float(moduli @ moduli) / rs.coxeter
-    sys_up = float(np.abs(z).min())
-    sys_lo = float(moduli.min())
-    return sys_up**2 / vol, sys_up, sys_lo, vol
-
-
-def _clamp(x: np.ndarray, rank: int) -> np.ndarray:
-    x[:rank] = np.clip(x[:rank], PHASE_MARGIN, 1.0 - PHASE_MARGIN)
-    x[rank:] = np.clip(x[rank:], *_LOG_R_RANGE)
-    return x
+def _ratio_parts(rs: RootSystem, z: np.ndarray) -> tuple[float, float, float]:
+    """(ratio, sys_upper, volume) of a charge; a trial needs only the ratio."""
+    vol = _volume(rs, _root_moduli(rs, z))
+    sys_up = _systole_upper(z)
+    return sys_up**2 / vol, sys_up, vol
 
 
 def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
@@ -173,12 +169,19 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
     Parameters are the n phases and n log-moduli; phases are clamped a
     margin inside (0, 1) because the supremum may live on the wall of the
     heart.  Runs cfg.restarts searches from seeded random starts and
-    reports the per-restart bests.
+    reports the per-restart bests (see SearchResult for what each field
+    counts).
+
+    A move changes one coordinate of x, which stays inside its box, so a
+    trial clamps that coordinate alone and recomputes the one charge entry
+    it feeds, by the same elementwise expression as `_charge_from_params`.
     """
     rng = np.random.default_rng(cfg.seed)
     n = rs.rank
     bound = Fraction(rs.coxeter, rs.rank)
     bound_f = float(bound)
+    limit = bound_f * (1.0 + VIOLATION_REL_TOL)
+    box = [(PHASE_MARGIN, 1.0 - PHASE_MARGIN)] * n + [_LOG_R_RANGE] * n
 
     best_per_restart = np.empty(cfg.restarts)
     sys_up_per = np.empty(cfg.restarts)
@@ -186,47 +189,49 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
     vol_per = np.empty(cfg.restarts)
     violating = 0
     best_ratio = -np.inf
-    best_x = None
+    best_z = best_vol = None
 
     for restart in range(cfg.restarts):
         x = np.empty(2 * n)
         x[:n] = rng.uniform(PHASE_MARGIN, 1.0 - PHASE_MARGIN, size=n)
         x[n:] = rng.uniform(*_LOG_R_RANGE, size=n)
-        ratio, *_ = _ratio_and_parts(rs, x)
-        if ratio > bound_f * (1.0 + VIOLATION_REL_TOL):
+        z = _charge_from_params(x, n)
+        ratio = _ratio_parts(rs, z)[0]
+        if ratio > limit:
             violating += 1
         step = cfg.step_init
         for _ in range(cfg.max_iters):
             improved = False
-            for dim in range(2 * n):
+            for dim, (lo, hi) in enumerate(box):
+                k = dim % n
                 for sign in (1.0, -1.0):
                     trial = x.copy()
-                    trial[dim] += sign * step
-                    _clamp(trial, n)
-                    trial_ratio, *_ = _ratio_and_parts(rs, trial)
-                    if trial_ratio > bound_f * (1.0 + VIOLATION_REL_TOL):
+                    trial[dim] = min(max(x[dim] + sign * step, lo), hi)
+                    trial_z = z.copy()
+                    trial_z[k : k + 1] = 10.0 ** trial[n + k : n + k + 1] * np.exp(
+                        1j * np.pi * trial[k : k + 1]
+                    )
+                    trial_ratio = _ratio_parts(rs, trial_z)[0]
+                    if trial_ratio > limit:
                         violating += 1
                     if trial_ratio > ratio:
-                        x, ratio = trial, trial_ratio
+                        x, z, ratio = trial, trial_z, trial_ratio
                         improved = True
             if not improved:
                 step /= 2.0
                 if step < cfg.step_min:
                     break
-        ratio, sys_up, sys_lo, vol = _ratio_and_parts(rs, x)
+        ratio, sys_up, vol = _ratio_parts(rs, z)
         best_per_restart[restart] = ratio
         sys_up_per[restart] = sys_up
-        sys_lo_per[restart] = sys_lo
+        sys_lo_per[restart] = systole_lower(rs, z)
         vol_per[restart] = vol
         if ratio > best_ratio:
-            best_ratio, best_x = ratio, x.copy()
+            best_ratio, best_z, best_vol = ratio, z, vol
 
-    best_z = _charge_from_params(best_x, n)
-    _, _, _, best_vol = _ratio_and_parts(rs, best_x)
-    best_z = best_z / np.sqrt(best_vol)  # gauge: report the volume-1 representative
     return SearchResult(
         best_ratio=float(best_ratio),
-        best_charge=best_z,
+        best_charge=best_z / np.sqrt(best_vol),  # gauge: report the volume-1 representative
         samples_violating=violating,
         histogram=_histogram(best_per_restart, bound_f),
         bound=bound,

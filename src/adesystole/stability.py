@@ -69,27 +69,40 @@ def volume_basis(rs: RootSystem, Z) -> float:
     return abs(s)
 
 
+def _root_moduli(rs: RootSystem, z: np.ndarray) -> np.ndarray:
+    """|Z(M)| over the positive roots M of an already validated charge."""
+    return np.abs(rs.complex_root_matrix @ z)
+
+
+def _volume(rs: RootSystem, moduli: np.ndarray) -> float:
+    return float(moduli @ moduli) / rs.coxeter
+
+
+def _systole_upper(z: np.ndarray) -> float:
+    return float(np.abs(z).min())
+
+
+def _systole_lower(moduli: np.ndarray) -> float:
+    return float(moduli.min())
+
+
 def volume_roots(rs: RootSystem, Z) -> float:
     """Volume via the root sum: (1/h) * sum over positive roots of |Z(M)|^2."""
-    z = as_charge(Z, rs.rank)
-    values = rs.root_matrix @ z
-    return float(np.abs(values) @ np.abs(values)) / rs.coxeter
+    return _volume(rs, _root_moduli(rs, as_charge(Z, rs.rank)))
 
 
 def systole_upper(rs: RootSystem, Z) -> float:
     """Upper systole bound min_i |Z_i|; the simples are stable in every
     stability condition over the standard heart, so their smallest modulus
     dominates the systole there."""
-    z = _nonzero_charge(rs, Z)
-    return float(np.abs(z).min())
+    return _systole_upper(_nonzero_charge(rs, Z))
 
 
 def systole_lower(rs: RootSystem, Z) -> float:
     """Lower systole bound min over all positive roots of |Z(M)|; every
     stable class is a positive root up to sign, so nothing stable can have
     smaller modulus."""
-    z = _nonzero_charge(rs, Z)
-    return float(np.abs(rs.root_matrix @ z).min())
+    return _systole_lower(_root_moduli(rs, _nonzero_charge(rs, Z)))
 
 
 def heart_membership(Z) -> bool:
@@ -129,13 +142,17 @@ class SystolicReport:
 
 def check_inequality(rs: RootSystem, Z) -> SystolicReport:
     """Evaluate the systolic inequality sys^2 <= (h/n) vol at the charge Z,
-    using the upper systole bound (which dominates the true systole)."""
+    using the upper systole bound (which dominates the true systole).
+
+    The charge is validated once and the root moduli computed once; the
+    fields equal volume_roots, systole_upper and systole_lower exactly."""
     z = _nonzero_charge(rs, Z)
-    vol = volume_roots(rs, z)
-    sys_up = systole_upper(rs, z)
+    moduli = _root_moduli(rs, z)
+    vol = _volume(rs, moduli)
+    sys_up = _systole_upper(z)
     bound = Fraction(rs.coxeter, rs.rank)
     return SystolicReport(
-        sys_lower=systole_lower(rs, z),
+        sys_lower=_systole_lower(moduli),
         sys_upper=sys_up,
         volume=vol,
         ratio_upper=sys_up**2 / vol,

@@ -1,8 +1,10 @@
 """CLI tests: parsing, dispatch, report formats, exit codes, config files."""
 
+import hashlib
 import json
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -180,6 +182,50 @@ def test_tilt_graph_json_equals_stdlib_rendering(capsys, tmp_path, family, rank,
     code, out, err = run_cli(capsys, *argv, "--out-file", str(target))
     assert (code, out, err) == (0, "", "")
     assert target.read_text(encoding="utf-8") == expected
+
+
+def test_tilt_graph_human_output_is_pinned(capsys):
+    # sha256 of the human report, captured before render_human dumped each item once.
+    code, out, err = run_cli(capsys, "tilt-graph", "--family", "D", "--rank", "4", "--depth", "13")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4aca4c936b0b2813a2b51bbcccb053e20ec43bf36d452de2e79e28ae948e8956"
+    )
+
+
+def _reference_render_human(payload):
+    """render_human with two walks and a whole-list json.dumps, as its oracle."""
+    lines = []
+    for key, value in payload.items():
+        value = cli._fmt17(cli._jsonable(value))
+        if isinstance(value, (dict, list)):
+            text = json.dumps(value)
+            if len(text) > 100 and isinstance(value, list):
+                lines.append(f"{key}:")
+                lines.extend(f"  {json.dumps(item)}" for item in value)
+                continue
+            lines.append(f"{key}: {text}")
+        else:
+            lines.append(f"{key}: {value}")
+    return "\n".join(lines)
+
+
+def test_render_human_matches_reference():
+    payload = {
+        "empty": [],
+        "short": [1, 2.5, "x"],
+        "at_limit": ["a" * 96],
+        "over_limit": ["a" * 97],
+        "long": [{"v": k / 3, "f": Fraction(k, 7), "z": complex(k, -k)} for k in range(12)],
+        "nested": {"a": [Fraction(1, 3), 0.1], "b": (1j, 2.0)},
+        "scalars": (True, None, 10**20),
+        "float": 0.1,
+        "fraction": Fraction(3, 2),
+        "complex": 1 - 2j,
+        "text": "plain",
+    }
+    assert len(json.dumps(["a" * 96])) == 100
+    assert cli.render_human(payload) == _reference_render_human(payload)
 
 
 def test_milnor_with_correspondence(capsys):

@@ -97,6 +97,14 @@ def test_segment_lengths_cube_roots():
     assert len(lengths.entries) == 3
 
 
+def test_segment_lengths_built_once_per_configuration():
+    config = validate_configuration([1, -1, 1j, -2j])
+    lengths = segment_lengths(config)
+    assert segment_lengths(config) is lengths
+    assert geometric_systole(config) == math.pi * min(value for _, _, value in lengths.entries)
+    assert geometric_volume(config) == math.pi**2 / 4 * sum(value**2 for _, _, value in lengths.entries)
+
+
 def test_segment_lengths_collinear():
     lengths = segment_lengths(validate_configuration([0, 1, 2]))
     assert lengths.get(1, 1) == pytest.approx(1.0)

@@ -1,8 +1,11 @@
 """Sampling and optimizer tests: determinism, bound safety, sharpness."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from adesystole import search
 from adesystole.roots import AdeType, build_root_system
 from adesystole.search import SearchConfig, optimize_ratio, sample_ratios, _draw_charges
 from adesystole.stability import heart_membership, systole_upper, volume_roots
@@ -128,3 +131,83 @@ def test_ratio_gauge_invariance():
         ratio = systole_upper(D4, z) ** 2 / volume_roots(D4, z)
         scaled = systole_upper(D4, lam * z) ** 2 / volume_roots(D4, lam * z)
         assert abs(scaled - ratio) <= 1e-12 * max(1.0, ratio)
+
+
+def _reference_optimize(rs, cfg):
+    """The pattern search with whole-vector clamps and a full evaluation
+    (ratio and both systole bounds) of every trial, as the oracle for
+    optimize_ratio's one-coordinate trials."""
+    rng = np.random.default_rng(cfg.seed)
+    n = rs.rank
+    limit = float(Fraction(rs.coxeter, n)) * (1.0 + search.VIOLATION_REL_TOL)
+
+    def params_to_charge(x):
+        return 10.0 ** x[n:] * np.exp(1j * np.pi * x[:n])
+
+    def evaluate(x):
+        z = params_to_charge(x)
+        moduli = np.abs(rs.root_matrix @ z)
+        vol = float(moduli @ moduli) / rs.coxeter
+        sys_up = float(np.abs(z).min())
+        return sys_up**2 / vol, sys_up, float(moduli.min()), vol
+
+    rows, violating, best_ratio, best_x = [], 0, -np.inf, None
+    for _ in range(cfg.restarts):
+        x = np.empty(2 * n)
+        x[:n] = rng.uniform(search.PHASE_MARGIN, 1.0 - search.PHASE_MARGIN, size=n)
+        x[n:] = rng.uniform(-3.0, 3.0, size=n)
+        ratio = evaluate(x)[0]
+        violating += ratio > limit
+        step = cfg.step_init
+        for _ in range(cfg.max_iters):
+            improved = False
+            for dim in range(2 * n):
+                for sign in (1.0, -1.0):
+                    trial = x.copy()
+                    trial[dim] += sign * step
+                    trial[:n] = np.clip(trial[:n], search.PHASE_MARGIN, 1.0 - search.PHASE_MARGIN)
+                    trial[n:] = np.clip(trial[n:], -3.0, 3.0)
+                    trial_ratio = evaluate(trial)[0]
+                    violating += trial_ratio > limit
+                    if trial_ratio > ratio:
+                        x, ratio, improved = trial, trial_ratio, True
+            if not improved:
+                step /= 2.0
+                if step < cfg.step_min:
+                    break
+        rows.append(evaluate(x))
+        if rows[-1][0] > best_ratio:
+            best_ratio, best_x = rows[-1][0], x.copy()
+    ratios, sys_up, sys_lo, vols = (np.array(col) for col in zip(*rows))
+    best_charge = params_to_charge(best_x) / np.sqrt(evaluate(best_x)[3])
+    return ratios, sys_up, sys_lo, vols, best_charge, violating
+
+
+@pytest.mark.parametrize(
+    "family, rank, seed, restarts",
+    [
+        ("A", 1, 1, 3),
+        ("A", 2, 7, 8),
+        ("A", 2, 51, 4),
+        ("A", 8, 0, 2),
+        ("A", 8, 5, 1),
+        ("D", 4, 21, 4),
+        ("D", 16, 3, 1),
+        ("E", 6, 2, 3),
+    ],
+)
+def test_optimize_matches_reference_search(family, rank, seed, restarts):
+    rs = build_root_system(AdeType(family, rank))
+    cfg = SearchConfig(seed=seed, restarts=restarts)
+    result = optimize_ratio(rs, cfg)
+    ratios, sys_up, sys_lo, vols, best_charge, violating = _reference_optimize(rs, cfg)
+    for got, want in [
+        (result.ratios, ratios),
+        (result.sys_upper, sys_up),
+        (result.sys_lower, sys_lo),
+        (result.volumes, vols),
+        (result.best_charge, best_charge),
+    ]:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert result.samples_violating == violating
+    assert result.best_ratio == float(ratios.max())

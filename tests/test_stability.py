@@ -130,7 +130,10 @@ def test_systole_lower_examples():
     assert systole_lower(A1, [1j]) == 1.0
 
 
-@pytest.mark.parametrize("ade", [AdeType("A", 3), AdeType("D", 5), AdeType("E", 8)])
+@pytest.mark.parametrize(
+    "ade",
+    [AdeType("A", 3), AdeType("D", 5), AdeType("E", 8), AdeType("A", 1), AdeType("A", 32), AdeType("D", 32)],
+)
 def test_report_fields_equal_public_functions(ade):
     rs = build_root_system(ade)
     rng = np.random.default_rng(17)
