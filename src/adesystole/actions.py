@@ -20,7 +20,7 @@ from itertools import cycle
 
 import numpy as np
 
-from adesystole.roots import RootClass, RootSystem, _reflect
+from adesystole.roots import RootClass, RootSystem, _bareiss
 from adesystole.stability import REL_TOL, _nonzero_charge, as_charge, systole_upper, volume_roots
 
 FORWARD = "forward"
@@ -51,7 +51,9 @@ def reflect_class(rs: RootSystem, i: int, alpha) -> RootClass:
     alpha = tuple(int(c) for c in alpha)
     if len(alpha) != rs.rank:
         raise ValueError(f"class vector has length {len(alpha)}, expected {rs.rank}")
-    return _reflect(rs.cartan, i0, alpha)
+    out = list(alpha)
+    out[i0] -= sum(c * a for c, a in zip(rs.cartan[i0], alpha))
+    return tuple(out)
 
 
 def reflect_charge(rs: RootSystem, i: int, Z) -> np.ndarray:
@@ -88,24 +90,6 @@ def canonical_heart(rs: RootSystem) -> HeartState:
     return HeartState(simples=tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
-def _integer_det(rows) -> int:
-    """Exact determinant of a square integer matrix by Bareiss elimination."""
-    a = [list(row) for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(len(a) - 1):
-        pivot = next((r for r in range(k, len(a)) if a[r][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, len(a)):
-            a[i] = [(x * a[k][k] - a[i][k] * y) // prev for x, y in zip(a[i], a[k])]
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
 def validate_heart(rs: RootSystem, heart: HeartState) -> None:
     """Raise unless the simples are signed positive roots forming a basis."""
     n = rs.rank
@@ -115,7 +99,7 @@ def validate_heart(rs: RootSystem, heart: HeartState) -> None:
     for v in heart.simples:
         if v not in positive and tuple(-c for c in v) not in positive:
             raise ValueError(f"class {v} is not a positive root up to sign")
-    det = _integer_det(heart.simples)
+    det = _bareiss(heart.simples)[0]
     if abs(det) != 1:
         raise ValueError(f"simple classes do not form a basis (determinant {det})")
 

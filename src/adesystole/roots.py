@@ -3,6 +3,8 @@
 A root system here is the K-theoretic shadow of an ADE graph: its Cartan
 matrix, the exact rational inverse, the Coxeter number, and the positive
 roots written as integer coefficient vectors in the basis of simples.
+One fraction-free elimination gives the inverse, the positive roots are
+raised height by height, and one R^T R product checks the identity.
 Vertices carry the labels 1..n used throughout: type A is the chain
 1-2-...-n, type D is the chain 1-...-(n-1) with vertex n attached to
 vertex n-2, and types E6/E7/E8 use the Bourbaki numbering (chain
@@ -11,7 +13,6 @@ vertex n-2, and types E6/E7/E8 use the Bourbaki numbering (chain
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -84,51 +85,46 @@ def cartan_matrix(ade: AdeType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in mat)
 
 
-def _fraction_inverse(mat) -> tuple[tuple[Fraction, ...], ...]:
-    """Invert an integer matrix by Gauss-Jordan elimination over Fraction."""
-    n = len(mat)
-    work = [[Fraction(x) for x in row] for row in mat]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+def _bareiss(rows) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
+    """Exact (det, adjugate) of a square integer matrix, or (0, None) if singular.
+
+    Fraction-free Gauss-Jordan on [M | I] (Bareiss, Math. Comp. 22, 1968):
+    each division by the previous pivot is exact, and [M | I] ends as
+    [d I | d M^-1] with d = +-det(M), the sign set by the row swaps."""
+    n = len(rows)
+    a = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
         if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = work[col][col]
-        work[col] = [x / scale for x in work[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-                inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
-
-
-def _reflect(cartan, i0: int, alpha: RootClass) -> RootClass:
-    """Simple reflection at 0-based vertex i0: alpha minus <alpha, e_i>e_i."""
-    pairing = sum(cartan[i0][k] * alpha[k] for k in range(len(alpha)))
-    out = list(alpha)
-    out[i0] -= pairing
-    return tuple(out)
-
-
-def _enumerate_positive_roots(cartan) -> tuple[RootClass, ...]:
-    """Close the simple roots under reflections, keeping nonnegative vectors."""
-    n = len(cartan)
-    simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    seen = set(simples)
-    queue = deque(simples)
-    while queue:
-        alpha = queue.popleft()
+            return 0, None
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        row_k, p = a[k], a[k][k]
         for i in range(n):
-            beta = _reflect(cartan, i, alpha)
-            if beta not in seen and all(c >= 0 for c in beta):
-                seen.add(beta)
-                queue.append(beta)
-    return tuple(sorted(seen, key=lambda a: (sum(a), a)))
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row_k)]
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
+
+
+def _positive_roots(cartan) -> tuple[RootClass, ...]:
+    """Positive roots in (height, tuple) order, raised height by height.
+
+    In a simply-laced system, alpha + e_i is a root for a positive root
+    alpha != e_i iff <alpha, e_i> = -1, and every root of height > 1 is
+    reached this way from one of height one less."""
+    c = np.array(cartan, dtype=np.int64)
+    eye = np.eye(len(c), dtype=np.int64)
+    level, roots = sorted(map(tuple, eye.tolist())), []
+    while level:
+        roots += level
+        arr = np.array(level, dtype=np.int64)
+        rows, cols = np.nonzero(arr @ c == -1)
+        level = sorted(set(map(tuple, (arr[rows] + eye[cols]).tolist())))
+    return tuple(roots)
 
 
 @dataclass(frozen=True)
@@ -144,6 +140,11 @@ class RootSystem:
     @property
     def rank(self) -> int:
         return self.ade.rank
+
+    @cached_property
+    def bound(self) -> Fraction:
+        """The systolic bound h/n of sys^2 <= (h/n) vol."""
+        return Fraction(self.coxeter, self.rank)
 
     @cached_property
     def cartan_array(self) -> np.ndarray:
@@ -174,12 +175,13 @@ def build_root_system(ade: AdeType) -> RootSystem:
     Results are cached; RootSystem is immutable, so sharing is safe.
     """
     cartan = cartan_matrix(ade)
+    det, adj = _bareiss(cartan)
     return RootSystem(
         ade=ade,
         cartan=cartan,
-        cartan_inv=_fraction_inverse(cartan),
+        cartan_inv=tuple(tuple(Fraction(x, det) for x in row) for row in adj),
         coxeter=coxeter_number(ade),
-        positive_roots=_enumerate_positive_roots(cartan),
+        positive_roots=_positive_roots(cartan),
     )
 
 
@@ -219,16 +221,17 @@ class IdentityReport:
 def verify_volume_identity(rs: RootSystem) -> IdentityReport:
     """Check, in exact rational arithmetic, that for every pair i <= j the
     (i,j) entry of the inverse Cartan matrix equals the sum of c_i(M)c_j(M)
-    over positive roots M divided by the Coxeter number."""
+    over positive roots M divided by the Coxeter number.  The sums are the
+    entries of R^T R, R the integer matrix with the positive roots as rows."""
     n = rs.rank
+    roots = np.array(rs.positive_roots, dtype=np.int64)
+    gram = (roots.T @ roots).tolist()
     failures = []
-    pairs = 0
     for i in range(n):
         for j in range(i, n):
-            pairs += 1
-            coeff_sum = sum(alpha[i] * alpha[j] for alpha in rs.positive_roots)
             lhs = rs.cartan_inv[i][j]
-            rhs = Fraction(coeff_sum, rs.coxeter)
+            rhs = Fraction(gram[i][j], rs.coxeter)
             if lhs != rhs:
                 failures.append((i + 1, j + 1, lhs, rhs))
+    pairs = n * (n + 1) // 2
     return IdentityReport(passed=not failures, pairs_checked=pairs, failures=tuple(failures))

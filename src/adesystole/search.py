@@ -135,7 +135,7 @@ def sample_ratios(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
     charges = _draw_charges(rng, cfg.sample_count, rs.rank)
     sys_up, sys_lo, vol = _batch_stats(rs, charges)
     ratios = sys_up**2 / vol
-    bound = Fraction(rs.coxeter, rs.rank)
+    bound = rs.bound
     bound_f = float(bound)
     violating = int((ratios > bound_f * (1.0 + VIOLATION_REL_TOL)).sum())
     best = int(np.argmax(ratios))
@@ -178,7 +178,7 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
     """
     rng = np.random.default_rng(cfg.seed)
     n = rs.rank
-    bound = Fraction(rs.coxeter, rs.rank)
+    bound = rs.bound
     bound_f = float(bound)
     limit = bound_f * (1.0 + VIOLATION_REL_TOL)
     box = [(PHASE_MARGIN, 1.0 - PHASE_MARGIN)] * n + [_LOG_R_RANGE] * n

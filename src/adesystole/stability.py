@@ -22,6 +22,8 @@ from adesystole.roots import RootClass, RootSystem
 REL_TOL = 1e-9
 SLACK_REL_TOL = 1e-12
 
+_NORMAL_MIN = float(np.finfo(np.float64).tiny)
+
 
 def as_charge(values, rank: int | None = None) -> np.ndarray:
     """Coerce a sequence of finite complex numbers into a charge vector."""
@@ -44,6 +46,14 @@ def _nonzero_charge(rs: RootSystem, Z) -> np.ndarray:
     return z
 
 
+def _in_range(vol: float, z: np.ndarray) -> float:
+    """The volume of z, unless it is not finite or, for z != 0, below the
+    normal float range; sys_upper^2 <= h vol is then finite too."""
+    if not vol < np.inf or (vol < _NORMAL_MIN and z.any()):
+        raise ValueError(f"charge is out of float range: its volume evaluates to {vol!r}")
+    return vol
+
+
 def evaluate_charge(rs: RootSystem, Z, alpha: RootClass) -> complex:
     """Value of the charge on a class vector: sum of c_i(alpha) * Z_i."""
     z = as_charge(Z, rs.rank)
@@ -61,12 +71,13 @@ def volume_basis(rs: RootSystem, Z) -> float:
     """
     z = as_charge(Z, rs.rank)
     s = complex(np.conjugate(z) @ (rs.inverse_array @ z))
-    scale = max(1.0, abs(s))
+    vol = _in_range(abs(s), z)
+    scale = max(1.0, vol)
     if abs(s.imag) > REL_TOL * scale:
         raise ArithmeticError(f"volume form is not real: {s!r}")
     if s.real < -REL_TOL * scale:
         raise ArithmeticError(f"volume form is negative: {s!r}")
-    return abs(s)
+    return vol
 
 
 def _root_moduli(rs: RootSystem, z: np.ndarray) -> np.ndarray:
@@ -88,7 +99,8 @@ def _systole_lower(moduli: np.ndarray) -> float:
 
 def volume_roots(rs: RootSystem, Z) -> float:
     """Volume via the root sum: (1/h) * sum over positive roots of |Z(M)|^2."""
-    return _volume(rs, _root_moduli(rs, as_charge(Z, rs.rank)))
+    z = as_charge(Z, rs.rank)
+    return _in_range(_volume(rs, _root_moduli(rs, z)), z)
 
 
 def systole_upper(rs: RootSystem, Z) -> float:
@@ -148,9 +160,9 @@ def check_inequality(rs: RootSystem, Z) -> SystolicReport:
     fields equal volume_roots, systole_upper and systole_lower exactly."""
     z = _nonzero_charge(rs, Z)
     moduli = _root_moduli(rs, z)
-    vol = _volume(rs, moduli)
+    vol = _in_range(_volume(rs, moduli), z)
     sys_up = _systole_upper(z)
-    bound = Fraction(rs.coxeter, rs.rank)
+    bound = rs.bound
     return SystolicReport(
         sys_lower=_systole_lower(moduli),
         sys_upper=sys_up,

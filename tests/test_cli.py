@@ -279,6 +279,28 @@ def test_invalid_inputs_exit_one(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "command,charge,overflows",
+    [
+        ("inequality", "1e300+1e300i,1+1i", True),
+        ("volume", "1e300+1e300i,1+1i", True),
+        ("inequality", "1e-170+1e-170i,1e-170i", False),
+        ("inequality", "1e160+1e160i,1e160i", True),
+    ],
+)
+def test_out_of_range_charge_exits_one(capsys, command, charge, overflows):
+    # Finite entries whose volume leaves the float range are bad input:
+    # not a pass with volume inf, and not a property violation.
+    argv = (command, "--family", "A", "--rank", "2", "--charge", charge)
+    if overflows:
+        with pytest.warns(RuntimeWarning):
+            code, out, err = run_cli(capsys, *argv)
+    else:
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: charge is out of float range")
+
+
 def test_property_violation_exits_two(capsys, monkeypatch):
     # Force the two volume routes apart to exercise the exit-2 path.
     from adesystole import stability

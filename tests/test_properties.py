@@ -12,7 +12,7 @@ from adesystole.actions import (
     simple_tilt,
     validate_heart,
 )
-from adesystole.roots import AdeType, build_root_system
+from adesystole.roots import AdeType, _bareiss, build_root_system
 from adesystole.stability import (
     REL_TOL,
     systole_lower,
@@ -96,3 +96,24 @@ def test_basis_and_root_volumes_agree(data):
     rs = build_root_system(data.draw(st.sampled_from(ALL_TYPES), label="type"))
     z = draw_heart_charge(data, rs.rank, decades=3.0)
     assert close(volume_basis(rs, z), volume_roots(rs, z))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_bareiss_determinant_and_adjugate(data):
+    # Small entries keep float det within 0.5 of the integer; duplicated
+    # rows make singular matrices common.
+    n = data.draw(st.integers(1, 6), label="size")
+    rows = data.draw(
+        st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n),
+        label="rows",
+    )
+    if n > 1 and data.draw(st.booleans(), label="singular"):
+        rows[-1] = list(rows[0])
+    det, adj = _bareiss(rows)
+    m = np.array(rows, dtype=np.int64)
+    assert det == round(np.linalg.det(m))
+    if det:
+        assert np.array_equal(m @ np.array(adj, dtype=np.int64), det * np.eye(n, dtype=np.int64))
+    else:
+        assert adj is None

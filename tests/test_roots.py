@@ -14,6 +14,7 @@ import pytest
 
 from adesystole.roots import (
     AdeType,
+    _bareiss,
     build_root_system,
     cartan_matrix,
     cartan_pairing,
@@ -25,6 +26,12 @@ from adesystole.roots import (
 ALL_SMALL_TYPES = (
     [AdeType("A", n) for n in range(1, 9)]
     + [AdeType("D", n) for n in range(4, 9)]
+    + [AdeType("E", n) for n in (6, 7, 8)]
+)
+
+ALL_TYPES = (
+    [AdeType("A", n) for n in range(1, 33)]
+    + [AdeType("D", n) for n in range(4, 33)]
     + [AdeType("E", n) for n in (6, 7, 8)]
 )
 
@@ -108,7 +115,7 @@ def test_inverse_is_exact(ade):
             assert entry == Fraction(int(i == j))
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 33))
 def test_a_inverse_closed_form(n):
     inv = build_root_system(AdeType("A", n)).cartan_inv
     for i in range(1, n + 1):
@@ -116,7 +123,7 @@ def test_a_inverse_closed_form(n):
             assert inv[i - 1][j - 1] == Fraction(min(i, j)) - Fraction(i * j, n + 1)
 
 
-@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("n", range(4, 33))
 def test_d_inverse_closed_form(n):
     inv = build_root_system(AdeType("D", n)).cartan_inv
     for i in range(1, n + 1):
@@ -131,6 +138,13 @@ def test_d_inverse_closed_form(n):
                 expected = Fraction(n - 2, 4)
             assert inv[i - 1][j - 1] == expected
             assert inv[j - 1][i - 1] == expected
+
+
+@pytest.mark.parametrize("ade", ALL_TYPES, ids=str)
+def test_cartan_determinant_closed_form(ade):
+    # det C is the order of the weight lattice modulo the root lattice.
+    expected = {"A": ade.rank + 1, "D": 4, "E": 9 - ade.rank}[ade.family]
+    assert _bareiss(cartan_matrix(ade))[0] == expected
 
 
 def test_inverse_spot_values():
@@ -180,7 +194,7 @@ def test_count_matches_enumeration(ade):
     assert count_positive_roots(ade) == len(build_root_system(ade).positive_roots)
 
 
-@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("n", range(4, 33))
 def test_d_roots_match_explicit_construction(n):
     """Oracle: build the D_n positive roots by their four explicit shapes."""
     def root(coeffs):
@@ -221,7 +235,14 @@ def test_contains_simples(ade):
         assert basis_vector(ade.rank, i) in roots
 
 
-@pytest.mark.parametrize("ade", ALL_SMALL_TYPES, ids=str)
+@pytest.mark.parametrize("ade", ALL_TYPES, ids=str)
+def test_positive_roots_sorted_by_height_then_tuple(ade):
+    roots = build_root_system(ade).positive_roots
+    assert list(roots) == sorted(roots, key=lambda a: (sum(a), a))
+    assert len(set(roots)) == len(roots)
+
+
+@pytest.mark.parametrize("ade", ALL_SMALL_TYPES + [AdeType("A", 32), AdeType("D", 32)], ids=str)
 def test_reflection_closure_is_idempotent(ade):
     rs = build_root_system(ade)
     roots = set(rs.positive_roots)

@@ -86,6 +86,27 @@ def test_volume_zero_charge():
     assert volume_roots(A3, [0, 0, 0]) == 0.0
 
 
+@pytest.mark.parametrize(
+    "rs,charge,overflows",
+    [
+        (A2, [1e300 + 1e300j, 1 + 1j], True),
+        (A2, [1e160 + 1e160j, 1e160j], True),
+        (A2, [1e-170 + 1e-170j, 1e-170j], False),
+        # At A1 the inequality is an equality: a subnormal volume rounds the
+        # ratio above h/n, which would read as a broken inequality.
+        (A1, [1.1e-160j], False),
+    ],
+)
+def test_volume_out_of_float_range_is_bad_input(rs, charge, overflows):
+    for fn in (volume_roots, volume_basis, check_inequality):
+        with pytest.raises(ValueError, match="out of float range"):
+            if overflows:
+                with pytest.warns(RuntimeWarning):
+                    fn(rs, charge)
+            else:
+                fn(rs, charge)
+
+
 @pytest.mark.parametrize("ade", ALL_SMALL_TYPES, ids=str)
 def test_volume_routes_agree(ade):
     rs = build_root_system(ade)
