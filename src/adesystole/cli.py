@@ -17,6 +17,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from adesystole import actions, milnor, roots, search, stability
 
 SCHEMA_VERSION = 1
@@ -438,8 +440,11 @@ def run(argv=None) -> int:
 
 
 def main(argv=None) -> int:
+    # An out-of-range charge overflows inside numpy before the kernels'
+    # range checks reject it; the ValueError is the one message to show.
     try:
-        return run(argv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run(argv)
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from adesystole.roots import AdeType, build_root_system
-from adesystole.stability import systole_lower, volume_roots
+from adesystole.stability import _NORMAL_MIN, systole_lower, volume_roots
 
 CENTROID_REL_TOL = 1e-9
 DISTINCT_REL_TOL = 1e-12
@@ -67,6 +67,11 @@ def validate_configuration(raw_points, ordering=None) -> PointConfiguration:
     """Center, deduplicate-check, and label a raw list of points.
 
     Every point must be finite; the centroid is subtracted on construction.
+    The sum of the squared distances over all pairs of points, which is
+    n+1 times the sum of the centered points' squared moduli, must be a
+    normal float with a factor 2 to spare for round-off: every squared
+    segment length and the geometric volume are then finite, and the
+    volume is a normal float.
     Points closer together than DISTINCT_REL_TOL times the configuration
     scale are rejected with the offending pair.  The default labeling sorts
     by (real, imaginary); pass `ordering` (a permutation of 0..n) to
@@ -83,6 +88,11 @@ def validate_configuration(raw_points, ordering=None) -> PointConfiguration:
     scale = max(abs(p) for p in pts)
     if scale == 0.0:
         raise ValueError("all points coincide (pair 1, 2)")
+    size = len(pts) * sum(p.real * p.real + p.imag * p.imag for p in pts)
+    if not _NORMAL_MIN <= 2.0 * size < math.inf:
+        raise ValueError(
+            f"points are out of float range: their sum of squared distances evaluates to {size!r}"
+        )
     for k in range(len(pts)):
         for l in range(k + 1, len(pts)):
             if abs(pts[k] - pts[l]) <= DISTINCT_REL_TOL * scale:

@@ -2,10 +2,17 @@
 
 Charges are drawn entry-wise as r * exp(i pi phi) with phi uniform on
 (0, 1) and log10 r uniform on [-3, 3], which keeps every sample inside
-the standard heart and spans six decades of scale.  The optimizer is a
-derivative-free coordinate pattern search: the ratio is invariant under
-rescaling, so the volume is gauge-fixed to 1 and the squared systole
-bound is pushed as high as it will go.
+the standard heart and spans six decades of scale.  The seeded draw is
+default_rng(seed) taking all count x n phases, then all count x n
+log-radii.  The sampler streams it block by block from two PCG64
+generators: one at the start of the phase block, one advanced past it to
+the start of the log-radius block.  Each block of charges is drawn,
+multiplied by the root matrix and reduced to its rows' systole bounds
+and volumes while it is still in cache, so the sampler holds the four
+per-sample result arrays (32 B per sample) and a block, never the
+charges.  The optimizer is a derivative-free coordinate pattern search:
+the ratio is invariant under rescaling, so the volume is gauge-fixed to
+1 and the squared systole bound is pushed as high as it will go.
 """
 
 from __future__ import annotations
@@ -26,7 +33,18 @@ VIOLATION_REL_TOL = 1e-12
 
 _LOG_R_RANGE = (-3.0, 3.0)
 _HISTOGRAM_BINS = 32
-_CHUNK = 8192
+
+# Bytes of one block's charge-by-root product; its temporaries then stay
+# in cache.
+_BLOCK_BYTES = 1 << 20
+
+# Row minima over at most this many columns are taken column by column:
+# numpy's per-row reduction costs more than the work on so short a row.
+_NARROW_COLUMNS = 8
+
+# About 40 B per sample are held (see the module docstring); 10**8 samples
+# take about 4 GB.
+MAX_SAMPLE_COUNT = 10**8
 
 
 @dataclass(frozen=True)
@@ -45,8 +63,10 @@ class SearchConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.sample_count < 1:
-            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
+        if not 1 <= self.sample_count <= MAX_SAMPLE_COUNT:
+            raise ValueError(
+                f"sample_count must be between 1 and {MAX_SAMPLE_COUNT:,}, got {self.sample_count}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.restarts < 1:
@@ -103,26 +123,33 @@ def _histogram(ratios: np.ndarray, bound: float):
     )
 
 
-def _draw_charges(rng: np.random.Generator, count: int, rank: int) -> np.ndarray:
-    phase = rng.uniform(0.0, 1.0, size=(count, rank))
+def _streams(seed: int, count: int, rank: int, row: int = 0):
+    """Generators at `row` of the phase block and of the log-radius block
+    of default_rng(seed)'s draw of count x rank charges; a uniform double
+    takes one PCG64 step."""
+    return (
+        np.random.Generator(np.random.PCG64(seed).advance(row * rank)),
+        np.random.Generator(np.random.PCG64(seed).advance((count + row) * rank)),
+    )
+
+
+def _draw(streams, rows: int, rank: int) -> np.ndarray:
+    """The next `rows` charges of the two streams."""
+    phase_rng, radius_rng = streams
+    phase = phase_rng.uniform(0.0, 1.0, size=(rows, rank))
     phase[phase == 0.0] = 0.5  # measure-zero guard: phases live in the open interval
-    log_r = rng.uniform(*_LOG_R_RANGE, size=(count, rank))
+    log_r = radius_rng.uniform(*_LOG_R_RANGE, size=(rows, rank))
     return 10.0**log_r * np.exp(1j * np.pi * phase)
 
 
-def _batch_stats(rs: RootSystem, charges: np.ndarray):
-    """Per-row (sys_upper, sys_lower, volume) for a block of charges."""
-    roots_t = rs.complex_root_matrix.T
-    sys_up = np.empty(charges.shape[0])
-    sys_lo = np.empty(charges.shape[0])
-    vol = np.empty(charges.shape[0])
-    for start in range(0, charges.shape[0], _CHUNK):
-        block = charges[start : start + _CHUNK]
-        moduli = np.abs(block @ roots_t)
-        sys_lo[start : start + _CHUNK] = moduli.min(axis=1)
-        vol[start : start + _CHUNK] = (moduli**2).sum(axis=1) / rs.coxeter
-        sys_up[start : start + _CHUNK] = np.abs(block).min(axis=1)
-    return sys_up, sys_lo, vol
+def _row_min(moduli: np.ndarray, out: np.ndarray) -> None:
+    """Row minima of `moduli` into `out`; min is exact in any order."""
+    if moduli.shape[1] > _NARROW_COLUMNS:
+        moduli.min(axis=1, out=out)
+        return
+    np.copyto(out, moduli[:, 0])
+    for col in range(1, moduli.shape[1]):
+        np.minimum(out, moduli[:, col], out=out)
 
 
 def sample_ratios(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
@@ -130,18 +157,38 @@ def sample_ratios(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
 
     Deterministic for a given (rs, cfg); the violation count must come
     out zero unless the inequality itself is broken.
+
+    The positive roots begin with the n simples, so the first n moduli of
+    a row are |Z_i| and give sys_upper.  No block has one row: numpy
+    would multiply it on its matrix-vector path, whose last bits differ.
     """
-    rng = np.random.default_rng(cfg.seed)
-    charges = _draw_charges(rng, cfg.sample_count, rs.rank)
-    sys_up, sys_lo, vol = _batch_stats(rs, charges)
-    ratios = sys_up**2 / vol
+    count, n = cfg.sample_count, rs.rank
+    roots_t = rs.complex_root_matrix.T
+    rows = _BLOCK_BYTES // (roots_t.shape[1] * roots_t.itemsize)
+    streams = _streams(cfg.seed, count, n)
+    sys_up, sys_lo, vol = (np.empty(count) for _ in range(3))
+    start = 0
+    while start < count:
+        stop = start + rows
+        if stop >= count - 1:  # a lone last row joins this block
+            stop = count
+        moduli = np.abs(_draw(streams, stop - start, n) @ roots_t)
+        block = slice(start, stop)
+        _row_min(moduli, sys_lo[block])
+        _row_min(moduli[:, :n], sys_up[block])
+        np.square(moduli, out=moduli)
+        moduli.sum(axis=1, out=vol[block])
+        start = stop
+    vol /= rs.coxeter
+    ratios = sys_up**2
+    ratios /= vol
     bound = rs.bound
     bound_f = float(bound)
     violating = int((ratios > bound_f * (1.0 + VIOLATION_REL_TOL)).sum())
     best = int(np.argmax(ratios))
     return SearchResult(
         best_ratio=float(ratios[best]),
-        best_charge=charges[best].copy(),
+        best_charge=_draw(_streams(cfg.seed, count, n, best), 1, n)[0],
         samples_violating=violating,
         histogram=_histogram(ratios, bound_f),
         bound=bound,

@@ -291,14 +291,19 @@ def test_invalid_inputs_exit_one(capsys, argv):
 def test_out_of_range_charge_exits_one(capsys, command, charge, overflows):
     # Finite entries whose volume leaves the float range are bad input:
     # not a pass with volume inf, and not a property violation.
-    argv = (command, "--family", "A", "--rank", "2", "--charge", charge)
-    if overflows:
-        with pytest.warns(RuntimeWarning):
-            code, out, err = run_cli(capsys, *argv)
-    else:
-        code, out, err = run_cli(capsys, *argv)
+    # The overflow inside numpy stays silent: stderr is the one error line.
+    code, out, err = run_cli(capsys, command, "--family", "A", "--rank", "2", "--charge", charge)
     assert (code, out) == (1, "")
-    assert err.startswith("error: charge is out of float range")
+    assert err.startswith("error: charge is out of float range") and err.count("\n") == 1
+    assert err.endswith(("inf\n", "nan\n")) == overflows
+
+
+@pytest.mark.parametrize("command", ["milnor", "correspond"])
+@pytest.mark.parametrize("points", ["1e200+0i,-1e200+0i,1e200i", "1e-200+0i,-1e-200+0i,1e-200i"])
+def test_out_of_range_points_exit_one(capsys, command, points):
+    code, out, err = run_cli(capsys, command, "--points", points)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: points are out of float range") and err.count("\n") == 1
 
 
 def test_property_violation_exits_two(capsys, monkeypatch):

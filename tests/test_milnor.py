@@ -60,6 +60,21 @@ def test_non_finite_point_rejected_by_position(bad):
         validate_configuration([1, bad, 1j])
 
 
+@pytest.mark.parametrize("scale", [1e200, 1.2e154, 1e-200, 1e-160])
+def test_points_out_of_float_range_rejected(scale):
+    # Squared distances that overflow (an OverflowError from a float power)
+    # or underflow (a volume of 0 for distinct points) are bad input.
+    with pytest.raises(ValueError, match="points are out of float range"):
+        validate_configuration([scale, -scale, 1j * scale])
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+def test_points_at_extreme_in_range_scales_are_checked(scale):
+    report = verify_correspondence(validate_configuration([scale, -scale, 1j * scale]))
+    assert report.passed
+    assert math.isfinite(report.volume_geometric) and report.volume_geometric > 0
+
+
 def test_too_few_points_rejected():
     with pytest.raises(ValueError):
         validate_configuration([1])

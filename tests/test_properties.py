@@ -13,6 +13,7 @@ from adesystole.actions import (
     validate_heart,
 )
 from adesystole.roots import AdeType, _bareiss, build_root_system
+from adesystole.search import SearchConfig
 from adesystole.stability import (
     REL_TOL,
     systole_lower,
@@ -20,6 +21,7 @@ from adesystole.stability import (
     volume_basis,
     volume_roots,
 )
+from test_search import assert_sample_matches_reference, block_rows
 
 ALL_TYPES = (
     [AdeType("A", n) for n in range(1, 33)]
@@ -117,3 +119,12 @@ def test_bareiss_determinant_and_adjugate(data):
         assert np.array_equal(m @ np.array(adj, dtype=np.int64), det * np.eye(n, dtype=np.int64))
     else:
         assert adj is None
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_sample_blocks_match_one_block_reference_anywhere(data):
+    rs = build_root_system(data.draw(st.sampled_from(ALL_TYPES), label="type"))
+    count = data.draw(st.integers(1, 3 * block_rows(rs)), label="count")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    assert_sample_matches_reference(rs, SearchConfig(sample_count=count, seed=seed))

@@ -1,18 +1,25 @@
 """Sampling and optimizer tests: determinism, bound safety, sharpness."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from adesystole import search
+from adesystole import cli, search
 from adesystole.roots import AdeType, build_root_system
-from adesystole.search import SearchConfig, optimize_ratio, sample_ratios, _draw_charges
+from adesystole.search import SearchConfig, optimize_ratio, sample_ratios, _draw, _streams
 from adesystole.stability import heart_membership, systole_upper, volume_roots
 
 A1 = build_root_system(AdeType("A", 1))
 A2 = build_root_system(AdeType("A", 2))
 D4 = build_root_system(AdeType("D", 4))
+
+ALL_TYPES = (
+    [AdeType("A", n) for n in range(1, 33)]
+    + [AdeType("D", n) for n in range(4, 33)]
+    + [AdeType("E", n) for n in (6, 7, 8)]
+)
 
 
 # == Config validation =======================================================
@@ -38,6 +45,18 @@ def test_config_rejects_bad_values(kwargs):
 def test_config_rejects_bool_integers(name):
     with pytest.raises(ValueError):
         SearchConfig(**{name: True})
+
+
+def test_config_rejects_sample_count_over_memory_limit(capsys):
+    # Checked before the sampler allocates: 10**15 samples would need 40 PB.
+    assert SearchConfig(sample_count=search.MAX_SAMPLE_COUNT).sample_count == 10**8
+    for count in (search.MAX_SAMPLE_COUNT + 1, 10**15):
+        with pytest.raises(ValueError, match="100,000,000"):
+            SearchConfig(sample_count=count)
+    code = cli.main(["sample", "--family", "E", "--rank", "8", "--count", str(10**15)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: sample_count must be between 1 and 100,000,000")
 
 
 # == Sampling ================================================================
@@ -67,8 +86,7 @@ def test_a2_no_violations_and_bound_respected():
 
 
 def test_sampled_charges_live_in_heart():
-    rng = np.random.default_rng(6)
-    charges = _draw_charges(rng, 200, 3)
+    charges = _draw(_streams(6, 200, 3), 200, 3)
     for z in charges:
         assert heart_membership(z)
 
@@ -84,6 +102,83 @@ def test_per_sample_arrays_are_consistent():
     result = sample_ratios(A2, SearchConfig(sample_count=50, seed=5))
     assert result.ratios == pytest.approx(result.sys_upper**2 / result.volumes)
     assert np.all(result.sys_lower <= result.sys_upper + 1e-15)
+
+
+def reference_sample(rs, cfg):
+    """The sampler's formulas on the whole draw in one block, with
+    sys_upper as |charges|.min(axis=1): the oracle for sample_ratios'
+    streamed blocks."""
+    rng = np.random.default_rng(cfg.seed)
+    count, n = cfg.sample_count, rs.rank
+    phase = rng.uniform(0.0, 1.0, size=(count, n))
+    phase[phase == 0.0] = 0.5
+    log_r = rng.uniform(-3.0, 3.0, size=(count, n))
+    charges = 10.0**log_r * np.exp(1j * np.pi * phase)
+    moduli = np.abs(charges @ rs.complex_root_matrix.T)
+    sys_lo = moduli.min(axis=1)
+    vol = (moduli**2).sum(axis=1) / rs.coxeter
+    sys_up = np.abs(charges).min(axis=1)
+    ratios = sys_up**2 / vol
+    bound = float(Fraction(rs.coxeter, n))
+    edges = np.linspace(0.0, bound, 33)
+    counts, _ = np.histogram(np.minimum(ratios, bound), bins=edges)
+    best = int(np.argmax(ratios))
+    return {
+        "ratios": ratios,
+        "sys_upper": sys_up,
+        "sys_lower": sys_lo,
+        "volumes": vol,
+        "best_charge": charges[best],
+        "best_ratio": float(ratios[best]),
+        "samples_violating": int((ratios > bound * (1.0 + 1e-12)).sum()),
+        "histogram": tuple(
+            (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(32)
+        ),
+    }
+
+
+def block_rows(rs) -> int:
+    return search._BLOCK_BYTES // (16 * len(rs.positive_roots))
+
+
+def assert_sample_matches_reference(rs, cfg):
+    result = sample_ratios(rs, cfg)
+    for name, value in reference_sample(rs, cfg).items():
+        got = getattr(result, name)
+        if isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name
+        else:
+            assert got == value, name
+
+
+@pytest.mark.parametrize("ade", ALL_TYPES, ids=str)
+def test_sample_blocks_match_one_block_reference(ade):
+    rs = build_root_system(ade)
+    rows = block_rows(rs)
+    for count in (1, 2, rows - 1, rows, rows + 1, 2 * rows + 1):
+        for seed in (0, 11):
+            assert_sample_matches_reference(rs, SearchConfig(sample_count=count, seed=seed))
+
+
+@pytest.mark.parametrize("family, rank", [("A", 1), ("A", 2), ("A", 8), ("D", 4), ("D", 16), ("E", 8)])
+def test_sample_many_blocks_match_one_block_reference(family, rank):
+    rs = build_root_system(AdeType(family, rank))
+    for seed in (3, 2**64 - 1):
+        assert_sample_matches_reference(rs, SearchConfig(sample_count=20_001, seed=seed))
+
+
+@pytest.mark.parametrize("family, rank, count", [("D", 32, 20_000), ("A", 2, 200_000)])
+def test_sample_memory_stays_per_block(family, rank, count):
+    # The four result arrays take 32 B per sample; the charges and the
+    # root products exist only a block at a time.
+    rs = build_root_system(AdeType(family, rank))
+    tracemalloc.start()
+    try:
+        sample_ratios(rs, SearchConfig(sample_count=count, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * count + 4 * 2**20
 
 
 # == Optimizer ===============================================================
