@@ -12,10 +12,11 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -112,23 +113,31 @@ def render_human(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def render_csv(result: search.SearchResult) -> str:
-    """One row per sample (or restart), floats at 17 significant digits."""
+# Rows of a CSV report rendered per chunk: the report is streamed, so it
+# never holds more than this many rows as text.
+_CSV_ROWS = 8192
+
+
+def render_csv(result: search.SearchResult) -> Iterator[str]:
+    """One row per sample (or restart), floats at 17 significant digits,
+    as chunks of `_CSV_ROWS` rows; each row starts with its newline."""
     columns = (result.ratios, result.sys_upper, result.sys_lower, result.volumes)
-    lines = ["index,ratio,sys_upper,sys_lower,volume"]
-    lines.extend(
-        f"{idx},{ratio:.17g},{upper:.17g},{lower:.17g},{volume:.17g}"
-        for idx, (ratio, upper, lower, volume) in enumerate(zip(*(c.tolist() for c in columns)))
-    )
-    return "\n".join(lines)
+    yield "index,ratio,sys_upper,sys_lower,volume"
+    for start in range(0, len(result.ratios), _CSV_ROWS):
+        block = (c[start : start + _CSV_ROWS].tolist() for c in columns)
+        yield "".join(
+            f"\n{idx},{ratio:.17g},{upper:.17g},{lower:.17g},{volume:.17g}"
+            for idx, (ratio, upper, lower, volume) in enumerate(zip(*block), start)
+        )
 
 
-def emit(text: str, out_file: str | None) -> None:
-    """Write one rendered report to out_file, or to stdout."""
-    if out_file:
-        Path(out_file).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+def emit(report: str | Iterable[str], out_file: str | None) -> None:
+    """Write one rendered report, its text or an iterable of text chunks,
+    and a final newline to out_file, or to stdout."""
+    chunks = (report,) if isinstance(report, str) else report
+    with open(out_file, "w", encoding="utf-8") if out_file else nullcontext(sys.stdout) as out:
+        out.writelines(chunks)
+        out.write("\n")
 
 
 def read_config(path: str) -> dict:

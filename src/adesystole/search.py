@@ -13,12 +13,25 @@ per-sample result arrays (32 B per sample) and a block, never the
 charges.  The optimizer is a derivative-free coordinate pattern search:
 the ratio is invariant under rescaling, so the volume is gauge-fixed to
 1 and the squared systole bound is pushed as high as it will go.
+
+A trial move changes one charge entry.  By the coefficient identity
+C^-1 = R^T R / h the volume is the Hermitian form z* C^-1 z, so with
+w = C^-1 z kept per point, a trial's volume and ratio are known in O(1)
+instead of one product over the positive roots.  The estimate is screened
+against an a-priori rounding bound (gamma-type, in units of
+u = 2^-53 times |z|^T C^-1 |z|; see `_trial_ratio_bound`), and only a
+trial whose bounded ratio could beat the current one, or go over the
+bound h/n, is evaluated exactly.  Seeded results are bit-identical to
+evaluating every trial.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,8 +100,10 @@ class SearchResult:
     indexed by sample (or by restart, for the optimizer); the histogram
     buckets cover [0, bound] and count the same points.  For sampling,
     samples_violating counts samples over the bound; for the optimizer it
-    counts every ratio evaluation over the bound (each start and each
-    trial move), so it is not a count of restarts.
+    counts every start and every trial move whose ratio is over the bound,
+    so it is not a count of restarts.  A trial the optimizer's screen
+    drops without evaluating it is provably under the bound, so the count
+    still covers every trial.
     """
 
     best_ratio: float
@@ -203,11 +218,107 @@ def _charge_from_params(x: np.ndarray, rank: int) -> np.ndarray:
     return 10.0 ** x[rank:] * np.exp(1j * np.pi * x[:rank])
 
 
+def _entry(x: np.ndarray, rank: int, k: int) -> np.ndarray:
+    """Charge entry k of the parameters x, by `_charge_from_params`'
+    expression on one element."""
+    return 10.0 ** x[rank + k : rank + k + 1] * np.exp(1j * np.pi * x[k : k + 1])
+
+
 def _ratio_parts(rs: RootSystem, z: np.ndarray) -> tuple[float, float, float]:
     """(ratio, sys_upper, volume) of a charge; a trial needs only the ratio."""
     vol = _volume(rs, _root_moduli(rs, z))
     sys_up = _systole_upper(z)
     return sys_up**2 / vol, sys_up, vol
+
+
+# A trial entry from `cmath` and numpy's `_entry` differ by a few ulps of
+# pow and exp (numpy's AVX-512 loops allow 4, libm's 1); the screen allows
+# a relative gap of 2^-47 and widens moduli and ratios by 2^-46.
+_ENTRY_GAP = 2.0**-47
+_WIDEN = 1.0 + 2.0 * _ENTRY_GAP
+
+
+class _Point(NamedTuple):
+    """What the trial screen keeps of the current point of the search.
+
+    `wr + i wi` = C^-1 z and `a` = C^-1 |z| are recomputed by one product
+    whenever the point moves; `spread` = |z|^T C^-1 |z| is at least the
+    volume and scales its rounding error `err * spread`; `first` and
+    `second` are the two smallest |z_j|, `first` at entry `low`.
+    """
+
+    z: list
+    moduli: list
+    wr: list
+    wi: list
+    a: list
+    diag: list
+    vol: float
+    spread: float
+    err: float
+    low: int
+    first: float
+    second: float
+
+
+def _point(rs: RootSystem, z: np.ndarray, vol: float) -> _Point:
+    """The screen's view of charge z, whose root-route volume is vol."""
+    inv = rs.inverse_array  # symmetric: rows @ inv = (inv @ columns)^T
+    moduli = np.abs(z)
+    products = np.array((z.real, z.imag, moduli)) @ inv
+    wr, wi, a = products.tolist()
+    mods = moduli.tolist()
+    low = mods.index(min(mods))
+    return _Point(
+        z=z.tolist(),
+        moduli=mods,
+        wr=wr,
+        wi=wi,
+        a=a,
+        diag=inv.diagonal().tolist(),
+        vol=vol,
+        spread=float(products[2] @ moduli),
+        err=(len(rs.positive_roots) + 3 * rs.rank + 256) * 2.0**-50,
+        low=low,
+        first=mods[low],
+        second=min(mods[:low] + mods[low + 1 :], default=math.inf),
+    )
+
+
+def _trial_ratio_bound(point: _Point, k: int, phase: float, log_r: float) -> float:
+    """An upper bound on the ratio `_ratio_parts` returns for the current
+    point with entry k replaced by `_entry` of (phase, log_r), or inf.
+
+    By the coefficient identity C^-1 = R^T R / h the volume is the
+    Hermitian form z* C^-1 z, so moving entry k by delta adds
+    2 Re(conj(delta) w_k) + |delta|^2 C^-1_kk.  With u = 2^-53, rounding
+    moves the root-route volume of a charge y by at most
+    (|Phi+| + 2n + 8) u |y|^T C^-1 |y|: gamma_n b_M on each root value
+    Z(M), where b_M = sum_j c_j(M) |y_j| also bounds |Z(M)|; one ulp in
+    its modulus; gamma_|Phi+| in the sum of squares; and
+    sum_M b_M^2 = h |y|^T C^-1 |y| by the identity.  The current and the
+    trial charge each have that error, and |y'|^T C^-1 |y'| <= spread +
+    grow, where grow = r (2 a_k + r C^-1_kk) and r = |new entry| + |old
+    entry| bounds every term of the update at its modulus.  The error of
+    w from the rounded C^-1 (gamma_(n+1) a_k), the entry gap and the
+    rounding of the update add at most (n + 220) u grow.  The volume is
+    narrowed by err (spread + grow), err = (|Phi+| + 3n + 256) 2^-50, at
+    least twice all of these; a volume not bounded away from 0 gives inf.
+    sys_upper and the ratio are widened by `_WIDEN`.
+    """
+    z, moduli, wr, wi, a, diag, vol, spread, err, low, first, second = point
+    new = 10.0**log_r * cmath.exp(1j * math.pi * phase)
+    modulus = abs(new)
+    dr = new.real - z[k].real
+    di = new.imag - z[k].imag
+    c = diag[k]
+    reach = modulus + moduli[k]
+    grow = reach * (2.0 * a[k] + reach * c)
+    vol += 2.0 * (dr * wr[k] + di * wi[k]) + (dr * dr + di * di) * c - err * (spread + grow)
+    if vol <= 0.0:
+        return math.inf
+    sys_up = min(modulus, second if k == low else first) * _WIDEN
+    return sys_up * sys_up / vol * _WIDEN
 
 
 def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
@@ -220,8 +331,15 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
     counts).
 
     A move changes one coordinate of x, which stays inside its box, so a
-    trial clamps that coordinate alone and recomputes the one charge entry
-    it feeds, by the same elementwise expression as `_charge_from_params`.
+    trial clamps that coordinate alone.  A trial clamped onto the current
+    point is known without evaluation once its entry is fresh, i.e.
+    `_entry` of the current parameters reproduces it bit for bit.  Any
+    other trial is first screened: `_trial_ratio_bound` bounds its ratio
+    from above in O(1), and only a trial whose bound reaches
+    min(ratio, limit) is evaluated exactly, by `_entry` and
+    `_ratio_parts`.  A screened-out trial would be neither accepted nor
+    counted as violating, so every result is bit-identical to evaluating
+    every trial.
     """
     rng = np.random.default_rng(cfg.seed)
     n = rs.rank
@@ -243,26 +361,43 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
         x[:n] = rng.uniform(PHASE_MARGIN, 1.0 - PHASE_MARGIN, size=n)
         x[n:] = rng.uniform(*_LOG_R_RANGE, size=n)
         z = _charge_from_params(x, n)
-        ratio = _ratio_parts(rs, z)[0]
+        ratio, _, vol = _ratio_parts(rs, z)
         if ratio > limit:
             violating += 1
+        params = x.tolist()
+        fresh = [_entry(x, n, k).tobytes() == z[k : k + 1].tobytes() for k in range(n)]
+        point = _point(rs, z, vol)
+        cutoff = min(ratio, limit)
         step = cfg.step_init
         for _ in range(cfg.max_iters):
             improved = False
             for dim, (lo, hi) in enumerate(box):
                 k = dim % n
                 for sign in (1.0, -1.0):
+                    value = min(max(params[dim] + sign * step, lo), hi)
+                    if value == params[dim] and fresh[k]:
+                        if ratio > limit:  # the trial is the current point
+                            violating += 1
+                        continue
+                    if dim < n:
+                        screened = _trial_ratio_bound(point, k, value, params[n + k])
+                    else:
+                        screened = _trial_ratio_bound(point, k, params[k], value)
+                    if screened < cutoff:
+                        continue
                     trial = x.copy()
-                    trial[dim] = min(max(x[dim] + sign * step, lo), hi)
+                    trial[dim] = value
                     trial_z = z.copy()
-                    trial_z[k : k + 1] = 10.0 ** trial[n + k : n + k + 1] * np.exp(
-                        1j * np.pi * trial[k : k + 1]
-                    )
-                    trial_ratio = _ratio_parts(rs, trial_z)[0]
+                    trial_z[k : k + 1] = _entry(trial, n, k)
+                    trial_ratio, _, trial_vol = _ratio_parts(rs, trial_z)
                     if trial_ratio > limit:
                         violating += 1
                     if trial_ratio > ratio:
                         x, z, ratio = trial, trial_z, trial_ratio
+                        params[dim] = value
+                        fresh[k] = True
+                        point = _point(rs, z, trial_vol)
+                        cutoff = min(ratio, limit)
                         improved = True
             if not improved:
                 step /= 2.0

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import shlex
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -191,6 +192,68 @@ def test_tilt_graph_human_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "4aca4c936b0b2813a2b51bbcccb053e20ec43bf36d452de2e79e28ae948e8956"
     )
+
+
+# sha256 of stdout, captured before optimizer trials were screened and CSV
+# reports streamed.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("optimize", "--family", "A", "--rank", "2", "--seed", "7", "--restarts", "20"),
+            "d5970d5f71d92160cb5ce6d8d31443ebe89a5dadc4761ad1e2307088ca701385",
+        ),
+        (
+            ("optimize", "--family", "A", "--rank", "2", "--seed", "7", "--restarts", "20", "--output", "json"),
+            "d741af5845fc6dd829a5f6e1399a6ff22ff1397759d1d7afc9fdc073b04f73dd",
+        ),
+        (
+            ("optimize", "--family", "A", "--rank", "2", "--seed", "7", "--restarts", "20", "--output", "csv"),
+            "5878fed799b04805bd53955f783312929d4172eb7ae16ef016a646c90c64c8db",
+        ),
+        (
+            ("sample", "--family", "E", "--rank", "8", "--count", "5000", "--output", "csv"),
+            "a41e66b7e185577150ea51d82cd065250cf87fc08a2ef54c7291e55072906238",
+        ),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else "sha256",
+)
+def test_search_reports_are_pinned(capsys, tmp_path, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    target = tmp_path / "report"
+    code, out, err = run_cli(capsys, *argv, "--out-file", str(target))
+    assert (code, out, err) == (0, "", "")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("count", [1, cli._CSV_ROWS - 1, cli._CSV_ROWS, cli._CSV_ROWS + 1, 2 * cli._CSV_ROWS])
+def test_csv_chunks_join_to_one_row_per_line(capsys, count):
+    code, out, err = run_cli(
+        capsys, "sample", "--family", "A", "--rank", "2", "--count", str(count), "--output", "csv"
+    )
+    assert (code, err) == (0, "")
+    lines = out.split("\n")
+    assert lines[0] == "index,ratio,sys_upper,sys_lower,volume" and lines[-1] == ""
+    assert [line.split(",", 1)[0] for line in lines[1:-1]] == [str(i) for i in range(count)]
+
+
+def test_csv_report_is_streamed(capsys, tmp_path):
+    # The sampler holds about 40 B per sample; the CSV text is written a
+    # chunk of rows at a time, never whole.
+    count = 200_000
+    target = tmp_path / "ratios.csv"
+    argv = ["sample", "--family", "A", "--rank", "2", "--count", str(count), "--output", "csv"]
+    tracemalloc.start()
+    try:
+        code = cli.main([*argv, "--out-file", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 60 * count + 4 * 2**20
+    assert target.read_text(encoding="utf-8").count("\n") == count + 1
 
 
 def _reference_render_human(payload):

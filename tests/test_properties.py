@@ -21,7 +21,11 @@ from adesystole.stability import (
     volume_basis,
     volume_roots,
 )
-from test_search import assert_sample_matches_reference, block_rows
+from test_search import (
+    assert_optimize_matches_reference,
+    assert_sample_matches_reference,
+    block_rows,
+)
 
 ALL_TYPES = (
     [AdeType("A", n) for n in range(1, 33)]
@@ -128,3 +132,17 @@ def test_sample_blocks_match_one_block_reference_anywhere(data):
     count = data.draw(st.integers(1, 3 * block_rows(rs)), label="count")
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
     assert_sample_matches_reference(rs, SearchConfig(sample_count=count, seed=seed))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_optimize_matches_reference_search_anywhere(data):
+    # Short searches, so that the reference's full evaluation of every
+    # trial stays cheap up to rank 32.
+    rs = build_root_system(data.draw(st.sampled_from(ALL_TYPES), label="type"))
+    cfg = SearchConfig(
+        seed=data.draw(st.integers(0, 2**64 - 1), label="seed"),
+        restarts=data.draw(st.integers(1, 2), label="restarts"),
+        max_iters=data.draw(st.integers(1, 12), label="max_iters"),
+    )
+    assert_optimize_matches_reference(rs, cfg)

@@ -278,22 +278,7 @@ def _reference_optimize(rs, cfg):
     return ratios, sys_up, sys_lo, vols, best_charge, violating
 
 
-@pytest.mark.parametrize(
-    "family, rank, seed, restarts",
-    [
-        ("A", 1, 1, 3),
-        ("A", 2, 7, 8),
-        ("A", 2, 51, 4),
-        ("A", 8, 0, 2),
-        ("A", 8, 5, 1),
-        ("D", 4, 21, 4),
-        ("D", 16, 3, 1),
-        ("E", 6, 2, 3),
-    ],
-)
-def test_optimize_matches_reference_search(family, rank, seed, restarts):
-    rs = build_root_system(AdeType(family, rank))
-    cfg = SearchConfig(seed=seed, restarts=restarts)
+def assert_optimize_matches_reference(rs, cfg):
     result = optimize_ratio(rs, cfg)
     ratios, sys_up, sys_lo, vols, best_charge, violating = _reference_optimize(rs, cfg)
     for got, want in [
@@ -306,3 +291,127 @@ def test_optimize_matches_reference_search(family, rank, seed, restarts):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert result.samples_violating == violating
     assert result.best_ratio == float(ratios.max())
+
+
+@pytest.mark.parametrize(
+    "family, rank, seed, restarts",
+    [
+        ("A", 1, 1, 3),
+        ("A", 2, 7, 8),
+        ("A", 2, 51, 4),
+        ("A", 8, 0, 2),
+        ("A", 8, 5, 1),
+        ("D", 4, 21, 4),
+        ("D", 16, 3, 1),
+        ("E", 6, 2, 3),
+        ("A", 32, 0, 1),
+        ("D", 32, 0, 1),
+        ("E", 8, 0, 1),
+        ("E", 7, 5, 2),
+    ],
+)
+def test_optimize_matches_reference_search(family, rank, seed, restarts):
+    rs = build_root_system(AdeType(family, rank))
+    assert_optimize_matches_reference(rs, SearchConfig(seed=seed, restarts=restarts))
+
+
+@pytest.mark.parametrize("family, rank, seed, restarts", [("A", 2, 7, 3), ("D", 4, 21, 2), ("E", 6, 2, 1)])
+def test_optimize_counts_every_violating_trial(monkeypatch, family, rank, seed, restarts):
+    # With the limit far below the bound nearly every ratio is over it:
+    # no-op trials and trials the screen would drop must still be counted.
+    monkeypatch.setattr(search, "VIOLATION_REL_TOL", -0.99)
+    rs = build_root_system(AdeType(family, rank))
+    cfg = SearchConfig(seed=seed, restarts=restarts)
+    assert optimize_ratio(rs, cfg).samples_violating > 0
+    assert_optimize_matches_reference(rs, cfg)
+
+
+# == Trial screen ============================================================
+
+def _start(rs, rng, log_r=(-3.0, 3.0)):
+    """Parameters, charge and root-route volume of a point like the search's."""
+    n = rs.rank
+    x = np.empty(2 * n)
+    x[:n] = rng.uniform(search.PHASE_MARGIN, 1.0 - search.PHASE_MARGIN, size=n)
+    x[n:] = rng.uniform(*log_r, size=n)
+    z = search._charge_from_params(x, n)
+    return x, z, search._ratio_parts(rs, z)[2]
+
+
+def _assert_bound_holds(rs, x, z, vol, k, phase, log_r):
+    """The screen's bound against the exact ratio of the trial, built as
+    the search builds it."""
+    n = rs.rank
+    trial = x.copy()
+    trial[k], trial[n + k] = phase, log_r
+    trial_z = z.copy()
+    trial_z[k : k + 1] = search._entry(trial, n, k)
+    exact = search._ratio_parts(rs, trial_z)[0]
+    bound = search._trial_ratio_bound(search._point(rs, z, vol), k, phase, log_r)
+    assert bound >= exact, (str(rs.ade), k, phase, log_r, bound, exact)
+    return bound, exact
+
+
+@pytest.mark.parametrize("ade", ALL_TYPES, ids=str)
+def test_trial_ratio_bound_covers_random_trials(ade):
+    rs = build_root_system(ade)
+    n = rs.rank
+    rng = np.random.default_rng(n)
+    for _ in range(40):
+        x, z, vol = _start(rs, rng)
+        k = int(rng.integers(n))
+        phase, log_r = x[k], x[n + k]
+        # A search move: one coordinate, at a step from 0.25 down to below 1e-9.
+        step = 10.0 ** rng.uniform(-12, np.log10(0.25))
+        if rng.random() < 0.5:
+            phase = min(max(phase + rng.choice((-1, 1)) * step, 1e-7), 1 - 1e-7)
+        else:
+            log_r = min(max(log_r + rng.choice((-1, 1)) * step, -3.0), 3.0)
+        _assert_bound_holds(rs, x, z, vol, k, phase, log_r)
+        # An unrelated trial entry anywhere in the box.
+        _assert_bound_holds(rs, x, z, vol, k, rng.uniform(1e-7, 1 - 1e-7), rng.uniform(-3, 3))
+
+
+def _params_of(entry: complex) -> tuple[float, float]:
+    return float(np.angle(entry) / np.pi), float(np.log10(abs(entry)))
+
+
+@pytest.mark.parametrize("ade", ALL_TYPES, ids=str)
+def test_trial_ratio_bound_covers_adversarial_trials(ade):
+    rs = build_root_system(ade)
+    n = rs.rank
+    inv = rs.inverse_array
+    rng = np.random.default_rng(1000 + n)
+    walls = (search.PHASE_MARGIN, 1.0 - search.PHASE_MARGIN)
+    near_ties = 0
+    for scale in ((-3.0, 3.0), (-3.0, -3.0), (3.0, 3.0), (-3.0, -2.9), (2.9, 3.0)):
+        x, z, vol = _start(rs, rng, scale)
+        for k in {0, n - 1, int(rng.integers(n)), int(np.abs(z).argmin())}:
+            phase, log_r = x[k], x[n + k]
+            # The move along entry k that cancels the most volume, and
+            # moves part and all the way toward it.
+            w = complex(inv[k] @ z)
+            for t in (0.5, 0.99, 1.0 - 1e-9, 1.0):
+                target = z[k] - t * w / inv[k, k]
+                if target != 0:
+                    _assert_bound_holds(rs, x, z, vol, k, *_params_of(target))
+            # Entries at the phase and log-radius walls.
+            for wall_phase in walls:
+                for wall_r in (-3.0, 3.0):
+                    _assert_bound_holds(rs, x, z, vol, k, wall_phase, wall_r)
+                _assert_bound_holds(rs, x, z, vol, k, wall_phase, log_r)
+            for wall_r in (-3.0, 3.0):
+                _assert_bound_holds(rs, x, z, vol, k, phase, wall_r)
+            # Moves below the rounding of the volume: the exact ratio is
+            # the current one give or take an ulp, so a bound without its
+            # rounding margins fails here.
+            for ulps in (1, 2, 5, 40):
+                for sign in (1, -1):
+                    for kind in (0, 1):
+                        trial_phase = phase + sign * ulps * np.spacing(phase) * (kind == 0)
+                        trial_log_r = log_r + sign * ulps * np.spacing(abs(log_r)) * (kind == 1)
+                        bound, exact = _assert_bound_holds(
+                            rs, x, z, vol, k, trial_phase, trial_log_r
+                        )
+                        near_ties += bound <= exact * (1 + 1e-9)
+    assert near_ties > 0  # the trials above do probe the rounding margin
