@@ -15,8 +15,11 @@ import cmath
 import json
 import math
 import numbers
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import cycle
+from functools import cached_property
+from itertools import chain, count, cycle, islice, repeat
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -138,95 +141,176 @@ def simple_tilt(rs: RootSystem, heart: HeartState, k: int, direction: str) -> He
     return HeartState(simples, heart.word + ((k, direction),))
 
 
-@dataclass(frozen=True)
-class ExchangeGraph:
-    """Class-level tilt graph: nodes are simples tuples, edges labeled tilts.
+# Nodes (and expanded sources) rendered per export chunk.
+_CHUNK_NODES = 2048
 
-    `edges` holds (source index, target index, position, direction); only
-    expanded nodes emit edges, and `complete` reports whether every node
-    was expanded before the depth cap stopped the search.
+
+class ExchangeGraph:
+    """Class-level tilt graph, stored as arrays.
+
+    `stack` is the (N, n, n) int8 array of the nodes in breadth-first
+    order; row k of stack[i] is the class of node i's k-th simple.  Nodes
+    0..m-1 are the expanded ones, and `targets[i, k - 1]`, an (m, n)
+    int32 array, is the node that the tilt at position k leads to from
+    node i; forward and backward tilts share one class map, so each target
+    stands for two labelled edges.  `levels` holds the offsets of the BFS
+    levels: level d is nodes levels[d]:levels[d + 1].  `complete` reports
+    whether every node was expanded before the depth cap stopped the search.
+
+    `nodes` (tuples of class tuples) and `edges` ((source, target,
+    position, direction), source-major, position-minor, forward first) are
+    tuple views of the arrays, built on first access and kept; the exports
+    never build them.
     """
 
-    rank: int
-    nodes: tuple[tuple[RootClass, ...], ...]
-    edges: tuple[tuple[int, int, int, str], ...]
-    depth: int
-    complete: bool
+    def __init__(self, rank: int, nodes, edges, depth: int, complete: bool):
+        """A graph from tuples, numbered and listed as `exchange_graph` does."""
+        nodes, edges = tuple(nodes), tuple(map(tuple, edges))
+        stack = np.array(nodes, dtype=np.int8).reshape(len(nodes), rank, rank)
+        targets = np.array([edge[1] for edge in edges[::2]], dtype=np.int32).reshape(-1, rank)
+        self._store(rank, stack, targets, depth, complete)
+        if self.edges != edges:
+            raise ValueError("edges must list every tilt of each expanded node, as exchange_graph does")
+
+    @classmethod
+    def _from_arrays(cls, rank, stack, targets, depth, complete) -> ExchangeGraph:
+        graph = cls.__new__(cls)
+        graph._store(rank, stack, targets, depth, complete)
+        return graph
+
+    def _store(self, rank, stack, targets, depth, complete) -> None:
+        self.rank, self.stack, self.targets = rank, stack, targets
+        self.depth, self.complete = depth, complete
+        self.levels = _level_offsets(targets, len(stack))
+
+    @cached_property
+    def nodes(self) -> tuple[tuple[RootClass, ...], ...]:
+        return _node_tuples(self.stack)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, int, str], ...]:
+        m, n = self.targets.shape
+        srcs = np.repeat(np.arange(m), 2 * n).tolist()
+        positions = np.tile(np.repeat(np.arange(1, n + 1), 2), m).tolist()
+        dsts = np.repeat(self.targets.ravel(), 2).tolist()
+        return tuple(zip(srcs, dsts, positions, cycle((FORWARD, BACKWARD))))
 
     def out_degrees(self) -> list[int]:
-        degrees = [0] * len(self.nodes)
-        for src, _, _, _ in self.edges:
-            degrees[src] += 1
-        return degrees
-
-    def _vector_texts(self, render) -> dict:
-        """render(v) for each distinct class vector v, built once."""
-        return {v: render(v) for v in {v for node in self.nodes for v in node}}
-
-    def to_dot(self) -> str:
-        label = self._vector_texts(lambda v: ",".join(map(str, v)))
-        lines = ["digraph tilts {"]
-        lines.extend(
-            f'  n{idx} [label="{";".join(map(label.__getitem__, node))}"];'
-            for idx, node in enumerate(self.nodes)
-        )
-        lines.extend(
-            f'  n{src} -> n{dst} [label="{"F" if direction == FORWARD else "B"}:{pos}"];'
-            for src, dst, pos, direction in self.edges
-        )
-        lines.append("}")
-        return "\n".join(lines)
+        expanded = len(self.targets)
+        return [2 * self.rank] * expanded + [0] * (len(self.stack) - expanded)
 
     def adjacency(self) -> dict:
         return {
             "rank": self.rank,
             "depth": self.depth,
             "complete": self.complete,
-            "nodes": [[list(v) for v in node] for node in self.nodes],
+            "nodes": self.stack.tolist(),
             "edges": [
                 {"src": src, "dst": dst, "position": pos, "direction": direction}
                 for src, dst, pos, direction in self.edges
             ],
         }
 
-    def to_json(self, head: dict | None = None) -> str:
-        """`head`'s fields, then the adjacency, as json.dumps(..., indent=2) renders them.
-
-        The nodes and edges are filled into templates; the text of each
-        distinct class vector is built once.
-        """
+    def json_chunks(self, head: dict | None = None) -> Iterator[str]:
+        """`head`'s fields, then the adjacency, as json.dumps(..., indent=2)
+        renders them, in chunks of at most `_CHUNK_NODES` nodes or sources."""
         fields = {**(head or {}), "rank": self.rank, "depth": self.depth, "complete": self.complete}
-        scalars = ",\n".join(
+        yield "{\n" + ",\n".join(
             f"  {json.dumps(key)}: " + json.dumps(value, indent=2).replace("\n", "\n  ")
             for key, value in fields.items()
         )
-        vector = self._vector_texts(lambda v: _json_item([f"        {c}" for c in v], "      "))
-        nodes = [_json_item([vector[v] for v in node], "    ") for node in self.nodes]
-        edges = _json_array(
-            [_JSON_EDGE % (src, dst, pos, _JSON_DIRECTION[d]) for src, dst, pos, d in self.edges], "  "
-        )
-        pieces = ["{\n", scalars, ',\n  "nodes": ', *_json_array(nodes, "  "), ',\n  "edges": ', *edges]
-        return "".join([*pieces, "\n}"])
+        # Every item is rendered after its separator; the first drops the comma.
+        n, ids = self.rank, _id_texts(len(self.stack))
+        rows = _RowTexts(lambda v: "      [\n" + ",\n".join(f"        {c}" for c in v) + "\n      ]")
+        seps = [",\n"] * (n - 1) + ["\n    ]"]
+        yield ',\n  "nodes": ['
+        for a, b in _chunks(len(self.stack)):
+            text = self._node_text(a, b, repeat(",\n    [\n", b - a), rows, seps)
+            yield text[1:] if a == 0 else text
+        yield '\n  ],\n  "edges": ['
+        tails = [
+            f',\n      "position": {k},\n      "direction": {json.dumps(d)}\n    }}'
+            for k in range(1, n + 1)
+            for d in (FORWARD, BACKWARD)
+        ]
+        for a, b in _chunks(len(self.targets)):
+            text = self._edge_text(a, b, ids, ',\n    {\n      "src": %s,\n      "dst": ', tails)
+            yield text[1:] if a == 0 else text
+        yield "\n  ]\n}" if len(self.targets) else "]\n}"
+
+    def dot_chunks(self) -> Iterator[str]:
+        """The graph in DOT, in chunks of at most `_CHUNK_NODES` nodes or sources."""
+        n, ids = self.rank, _id_texts(len(self.stack))
+        rows = _RowTexts(lambda v: ",".join(map(str, v)))
+        seps = [";"] * (n - 1) + ['"];\n']
+        yield "digraph tilts {\n"
+        for a, b in _chunks(len(self.stack)):
+            yield self._node_text(a, b, map('  n%s [label="'.__mod__, ids[a:b]), rows, seps)
+        tails = [f' [label="{d}:{k}"];\n' for k in range(1, n + 1) for d in "FB"]
+        for a, b in _chunks(len(self.targets)):
+            yield self._edge_text(a, b, ids, "  n%s -> n", tails)
+        yield "}"
+
+    def _node_text(self, a: int, b: int, heads, rows: _RowTexts, seps: list[str]) -> str:
+        """Nodes a..b-1, each as its head, then its n class texts each
+        followed by its separator in `seps`."""
+        classes = map(rows.__getitem__, _row_bytes(self.stack[a:b], self.rank))
+        cells = chain.from_iterable(zip(classes, cycle(seps)))
+        return "".join(chain.from_iterable(zip(heads, *[cells] * (2 * self.rank))))
+
+    def _edge_text(self, a: int, b: int, ids: list[str], head: str, tails: list[str]) -> str:
+        """The edges from sources a..b-1, each as `head` % its source, its
+        target's number and the tail of its (position, direction)."""
+        heads = chain.from_iterable(map(repeat, map(head.__mod__, ids[a:b]), repeat(len(tails))))
+        dsts = map(ids.__getitem__, np.repeat(self.targets[a:b].ravel(), 2).tolist())
+        return "".join(chain.from_iterable(zip(heads, dsts, cycle(tails))))
+
+    def write_json(self, fp: TextIO, head: dict | None = None) -> None:
+        fp.writelines(self.json_chunks(head))
+
+    def write_dot(self, fp: TextIO) -> None:
+        fp.writelines(self.dot_chunks())
+
+    def to_json(self, head: dict | None = None) -> str:
+        return "".join(self.json_chunks(head))
+
+    def to_dot(self) -> str:
+        return "".join(self.dot_chunks())
 
 
-def _json_array(items: list[str], indent: str) -> list[str]:
-    """Pieces of a JSON array of rendered, already indented items, closed at
-    `indent`; the caller joins them once, so a large array is copied once."""
-    return ["[\n", ",\n".join(items), f"\n{indent}]"] if items else ["[]"]
+class _RowTexts(dict):
+    """Text of each class vector, keyed by its int8 bytes, rendered on first use."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key: bytes) -> str:
+        text = self[key] = self.render(np.frombuffer(key, dtype=np.int8).tolist())
+        return text
 
 
-def _json_item(items: list[str], indent: str) -> str:
-    """A JSON array nested in another array, itself indented by `indent`."""
-    return indent + "".join(_json_array(items, indent))
+def _id_texts(size: int) -> list[str]:
+    return list(map(str, range(size)))
 
 
-_JSON_DIRECTION = {d: json.dumps(d) for d in (FORWARD, BACKWARD)}
-_JSON_EDGE = """    {
-      "src": %d,
-      "dst": %d,
-      "position": %d,
-      "direction": %s
-    }"""
+def _chunks(size: int) -> Iterator[tuple[int, int]]:
+    return ((a, min(a + _CHUNK_NODES, size)) for a in range(0, size, _CHUNK_NODES))
+
+
+def _level_offsets(targets: np.ndarray, size: int) -> tuple[int, ...]:
+    """Offsets of the BFS levels of `size` nodes numbered in BFS order.
+
+    Level d + 1 ends after the largest target of level d, since every node
+    it holds is a first-seen target of level d.
+    """
+    offsets = [0, 1]
+    while offsets[-1] < size:
+        start, end = offsets[-2:]
+        if end > len(targets) or (stop := int(targets[start:end].max()) + 1) <= end:
+            raise ValueError("nodes are not numbered in breadth-first order")
+        offsets.append(stop)
+    return tuple(offsets)
 
 
 def exchange_graph(rs: RootSystem, max_depth: int) -> ExchangeGraph:
@@ -236,10 +320,12 @@ def exchange_graph(rs: RootSystem, max_depth: int) -> ExchangeGraph:
     its n positions in order; forward and backward tilts share one class
     map, so each position yields one target and two labelled edges.  A
     level is one (f, n, n) int8 array that `_tilt` maps at each position
-    in one call, and nodes are keyed by their int8 bytes.  Node numbering
-    is deterministic: source-major, position-minor.  Nodes first reached
-    at depth max_depth are kept but not expanded; `complete` is False in
-    that case.
+    in one call, and nodes are keyed by their int8 bytes.  Tilting twice at
+    one position gives back the heart, so every edge joins levels at most
+    one apart, and a target is looked up only among the keys of the
+    previous, current and next levels.  Node numbering is deterministic:
+    source-major, position-minor.  Nodes first reached at depth max_depth
+    are kept but not expanded; `complete` is False in that case.
     """
     if isinstance(max_depth, bool) or not isinstance(max_depth, numbers.Integral):
         raise ValueError(f"max_depth must be an integer, got {max_depth!r}")
@@ -248,27 +334,24 @@ def exchange_graph(rs: RootSystem, max_depth: int) -> ExchangeGraph:
     n = rs.rank
     cartan = rs.cartan_array.astype(np.int8)
     level = np.eye(n, dtype=np.int8)[None]
-    index = {level.tobytes(): 0}
-    levels = [level]
-    edges = []
+    # Keys of the previous and current levels by node number, from `first`;
+    # the first `previous` of them are the previous level's.
+    known, first, previous = defaultdict(None, {level.tobytes(): 0}), 0, 0
+    levels, targets = [level], []
     for _ in range(max_depth):
         if not len(level):
             break
-        first, known = len(index) - len(level), len(index)
-        targets = np.stack([_tilt(cartan, level, k) for k in range(n)], axis=1)
-        dsts = np.array([index.setdefault(key, len(index)) for key in _row_bytes(targets, n * n)])
-        ids, rows = np.unique(dsts, return_index=True)
-        level = targets.reshape(-1, n, n)[rows[ids >= known]]
+        images = np.stack([_tilt(cartan, level, k) for k in range(n)], axis=1)
+        seen = len(known)
+        known.default_factory = count(first + seen).__next__
+        keys = _row_bytes(images, n * n)
+        targets.append(np.fromiter(map(known.__getitem__, keys), np.int32, len(keys)).reshape(-1, n))
+        level = np.frombuffer(b"".join(islice(known, seen, None)), dtype=np.int8).reshape(-1, n, n)
         levels.append(level)
-        srcs = np.repeat(np.arange(first, known), 2 * n).tolist()
-        positions = np.tile(np.repeat(np.arange(1, n + 1), 2), known - first).tolist()
-        edges.extend(zip(srcs, np.repeat(dsts, 2).tolist(), positions, cycle((FORWARD, BACKWARD))))
-    return ExchangeGraph(
-        rank=n,
-        nodes=_node_tuples(np.concatenate(levels)),
-        edges=tuple(edges),
-        depth=max_depth,
-        complete=not len(level),
+        known = defaultdict(None, islice(known.items(), previous, None))
+        first, previous = first + previous, seen - previous
+    return ExchangeGraph._from_arrays(
+        n, np.concatenate(levels), np.concatenate(targets), max_depth, complete=not len(level)
     )
 
 

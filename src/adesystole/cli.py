@@ -281,7 +281,8 @@ def _optimize(args, rs: roots.RootSystem) -> Report:
 
 
 def _tilt_graph(args, rs: roots.RootSystem) -> Report:
-    """The graph is the source of every output mode; only human output builds its adjacency."""
+    """The graph is the source of every output mode; json and dot stream
+    its exports in chunks, and only human output builds its adjacency."""
     depth = args.depth if args.depth is not None else 4
     return Report({}, True, {"depth": depth}, actions.exchange_graph(rs, depth))
 
@@ -354,7 +355,8 @@ _SAMPLE = (_SEED, ("--count", {"type": int}))
 _OPTIMIZE = (_SEED, ("--restarts", {"type": int}))
 _DEPTH_HELP = (
     "default 4; a closed graph has one node per Weyl group element: (n+1)! for A_n, "
-    "2^(n-1)*n! for D_n, 51,840 for E6, 2,903,040 for E7; E8 (696,729,600) is out of reach"
+    "2^(n-1)*n! for D_n, 51,840 for E6, 2,903,040 for E7 (depth 64, about 0.6 GB); "
+    "E8 (696,729,600) is out of reach; json and dot output is streamed, human output is not"
 )
 _POINTS = (
     ("--points", {"help": "comma-separated a+bi points"}),
@@ -375,8 +377,8 @@ COMMANDS = {
         options=(("--depth", {"type": int, "help": _DEPTH_HELP}),),
         outputs={
             "human": lambda payload, graph: render_human({**payload, **graph.adjacency()}),
-            "json": lambda payload, graph: graph.to_json(payload),
-            "dot": lambda payload, graph: graph.to_dot(),
+            "json": lambda payload, graph: graph.json_chunks(payload),
+            "dot": lambda payload, graph: graph.dot_chunks(),
         },
     ),
     "milnor": Command(

@@ -56,7 +56,7 @@ _BLOCK_BYTES = 1 << 20
 _NARROW_COLUMNS = 8
 
 # About 40 B per sample are held (see the module docstring); 10**8 samples
-# take about 4 GB.
+# take about 4 GB.  The optimizer holds 32 B per restart, under the same cap.
 MAX_SAMPLE_COUNT = 10**8
 
 
@@ -82,8 +82,8 @@ class SearchConfig:
             )
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if not 1 <= self.restarts <= MAX_SAMPLE_COUNT:
+            raise ValueError(f"restarts must be between 1 and {MAX_SAMPLE_COUNT:,}, got {self.restarts}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not 0 < self.step_min < self.step_init:

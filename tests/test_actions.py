@@ -1,19 +1,25 @@
 """Action-layer tests: charge rescaling, reflections, tilting, tilt graph."""
 
 import hashlib
+import io
 import json
 import math
+from itertools import cycle
 
 import numpy as np
 import pytest
 
 from adesystole.actions import (
+    _CHUNK_NODES,
     BACKWARD,
     FORWARD,
     ExchangeGraph,
     HeartState,
     act_scaling,
     canonical_heart,
+    _node_tuples,
+    _row_bytes,
+    _tilt,
     exchange_graph,
     reflect_charge,
     reflect_class,
@@ -37,6 +43,14 @@ SMALL_TYPES = (
     + [AdeType("D", n) for n in (4, 5)]
     + [AdeType("E", 6)]
 )
+
+ALL_TYPES = (
+    [AdeType("A", n) for n in range(1, 33)]
+    + [AdeType("D", n) for n in range(4, 33)]
+    + [AdeType("E", n) for n in (6, 7, 8)]
+)
+
+WEYL_ORDERS = {"D4": 192, "D5": 1920, "E6": 51_840}
 
 
 def closing_depth(rs):
@@ -267,6 +281,126 @@ def test_graph_edges_match_simple_tilt(rs):
         assert tilted.simples == graph.nodes[dst]
 
 
+def _reference_exchange_graph(rs, max_depth):
+    """The breadth-first search with one global dict of every key seen, as
+    the oracle for the numbering of exchange_graph's level-local lookup.
+    Returns (nodes, edges, complete)."""
+    n = rs.rank
+    cartan = rs.cartan_array.astype(np.int8)
+    level = np.eye(n, dtype=np.int8)[None]
+    index = {level.tobytes(): 0}
+    levels = [level]
+    edges = []
+    for _ in range(max_depth):
+        if not len(level):
+            break
+        first, known = len(index) - len(level), len(index)
+        targets = np.stack([_tilt(cartan, level, k) for k in range(n)], axis=1)
+        dsts = np.array([index.setdefault(key, len(index)) for key in _row_bytes(targets, n * n)])
+        ids, rows = np.unique(dsts, return_index=True)
+        level = targets.reshape(-1, n, n)[rows[ids >= known]]
+        levels.append(level)
+        srcs = np.repeat(np.arange(first, known), 2 * n).tolist()
+        positions = np.tile(np.repeat(np.arange(1, n + 1), 2), known - first).tolist()
+        edges.extend(zip(srcs, np.repeat(dsts, 2).tolist(), positions, cycle((FORWARD, BACKWARD))))
+    return _node_tuples(np.concatenate(levels)), tuple(edges), not len(level)
+
+
+def assert_graph_matches_reference(rs, depth):
+    graph = exchange_graph(rs, depth)
+    assert (graph.nodes, graph.edges, graph.complete) == _reference_exchange_graph(rs, depth)
+
+
+@pytest.mark.parametrize("ade", [AdeType("A", n) for n in range(1, 7)] + SMALL_TYPES[5:], ids=str)
+def test_closed_graph_matches_reference_search(ade):
+    rs = build_root_system(ade)
+    assert_graph_matches_reference(rs, closing_depth(rs))
+
+
+@pytest.mark.parametrize("ade", ALL_TYPES, ids=str)
+def test_shallow_graph_matches_reference_search(ade):
+    # Depth 4 takes 1-5 s a type past rank 16 (58k nodes of 32x32 classes
+    # at rank 32), so there it is checked on A32 alone.
+    rs = build_root_system(ade)
+    deep = ade.rank <= 16 or str(ade) == "A32"
+    for depth in (1, 2, 3, 4) if deep else (1, 2, 3):
+        assert_graph_matches_reference(rs, depth)
+
+
+def mahonian(n):
+    """Coefficients of prod_{k=1..n} (1 + q + ... + q^k): the number of
+    elements of S_{n+1} of each length."""
+    coeffs = np.array([1])
+    for k in range(1, n + 1):
+        coeffs = np.convolve(coeffs, np.ones(k + 1, dtype=int))
+    return coeffs.tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closed_type_a_level_widths_are_mahonian(n):
+    rs = build_root_system(AdeType("A", n))
+    graph = exchange_graph(rs, closing_depth(rs))
+    assert np.diff(graph.levels).tolist() == mahonian(n)
+
+
+@pytest.mark.parametrize("ade", SMALL_TYPES[5:], ids=str)
+def test_closed_level_widths_are_palindromic(ade):
+    # Multiplying by the longest element maps length l to |Phi+| - l.
+    rs = build_root_system(ade)
+    graph = exchange_graph(rs, closing_depth(rs))
+    widths = np.diff(graph.levels).tolist()
+    assert widths == widths[::-1]
+    assert len(widths) == count_positive_roots(ade) + 1
+    assert sum(widths) == len(graph.stack) == WEYL_ORDERS[str(ade)]
+
+
+@pytest.mark.parametrize(
+    "ade,depth",
+    [(AdeType("A", 5), 16), (AdeType("D", 5), 21), (AdeType("E", 6), 37)]
+    + [(AdeType("E", 7), 6), (AdeType("D", 8), 5)],
+    ids=str,
+)
+def test_every_edge_joins_adjacent_levels(ade, depth):
+    graph = exchange_graph(build_root_system(ade), depth)
+    level_of = np.repeat(np.arange(len(graph.levels) - 1), np.diff(graph.levels))
+    sources = level_of[: len(graph.targets), None]
+    assert (np.abs(level_of[graph.targets] - sources) == 1).all()
+
+
+def test_graph_arrays_back_the_tuple_views():
+    graph = exchange_graph(D4, 5)
+    assert graph.stack.dtype == np.int8 and graph.stack.shape == (len(graph.nodes), 4, 4)
+    assert graph.targets.shape == (graph.levels[-2], 4)
+    assert graph.nodes[7] == tuple(map(tuple, graph.stack[7].tolist()))
+    assert graph.edges[8 * 3 + 2 * 1 + 1] == (3, int(graph.targets[3, 1]), 2, BACKWARD)
+    assert graph.nodes is graph.nodes and graph.edges is graph.edges
+
+
+def test_constructor_round_trips_and_rejects_other_edge_lists():
+    graph = exchange_graph(A2, 2)
+    again = ExchangeGraph(graph.rank, graph.nodes, graph.edges, graph.depth, graph.complete)
+    assert np.array_equal(again.stack, graph.stack) and np.array_equal(again.targets, graph.targets)
+    assert again.levels == graph.levels and again.to_json() == graph.to_json()
+    with pytest.raises(ValueError, match="as exchange_graph does"):
+        ExchangeGraph(graph.rank, graph.nodes, graph.edges[::-1], graph.depth, graph.complete)
+    loop = ((0, 0, 1, FORWARD), (0, 0, 1, BACKWARD))
+    with pytest.raises(ValueError, match="breadth-first"):
+        ExchangeGraph(1, (((1,),), ((-1,),)), loop, 1, False)  # node 1 is never reached
+
+
+def test_writers_stream_the_exports():
+    a6 = build_root_system(AdeType("A", 6))
+    graph = exchange_graph(a6, closing_depth(a6))
+    head = {"schema_version": 1}
+    # Each chunk holds at most _CHUNK_NODES nodes, or the edges of as many sources.
+    chunks, text = list(graph.json_chunks(head)), graph.to_json(head)
+    assert len(chunks) == 10 and max(map(len, chunks)) < len(text) * _CHUNK_NODES / len(graph.stack)
+    as_json, as_dot = io.StringIO(), io.StringIO()
+    graph.write_json(as_json, head)
+    graph.write_dot(as_dot)
+    assert as_json.getvalue() == text and as_dot.getvalue() == graph.to_dot()
+
+
 def test_closed_d4_exports_are_pinned():
     graph = exchange_graph(D4, closing_depth(D4))
     sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
@@ -284,6 +418,14 @@ def test_closed_a5_d5_exports_are_pinned():
     assert sha(d5.to_dot()) == "3220e4ced1554753480a8c02cb8e2f53c356f0e5d8de5f8e2c7a25eaf5186119"
 
 
+def test_closed_e6_exports_are_pinned():
+    # Captured before the graph was stored as arrays and exported in chunks.
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    e6 = exchange_graph(E6, 37)
+    assert sha(e6.to_json()) == "f992423c8cff8b04b25f383662457bab110dbd5b8b14d31b990c4e3ea7ac0534"
+    assert sha(e6.to_dot()) == "ce0a263cd41cbf88a4c1f8ad8deb264baed87b8e9ed0ed64f6617db2c0788da8"
+
+
 def _json_cases():
     ades = [AdeType("A", n) for n in range(1, 7)] + [AdeType("D", 4), AdeType("D", 5)]
     for ade in ades:
@@ -297,6 +439,23 @@ def _json_cases():
 def test_to_json_matches_stdlib_indent(ade, depth):
     graph = exchange_graph(build_root_system(ade), depth)
     assert graph.to_json() == json.dumps(graph.adjacency(), indent=2)
+
+
+def _reference_to_dot(graph):
+    """One formatted line per node and per edge, as the oracle for the chunked DOT writer."""
+    lines = ["digraph tilts {"]
+    for idx, node in enumerate(graph.nodes):
+        lines.append(f'  n{idx} [label="{";".join(",".join(map(str, v)) for v in node)}"];')
+    for src, dst, pos, direction in graph.edges:
+        lines.append(f'  n{src} -> n{dst} [label="{"F" if direction == FORWARD else "B"}:{pos}"];')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("ade,depth", _json_cases())
+def test_to_dot_matches_reference_rendering(ade, depth):
+    graph = exchange_graph(build_root_system(ade), depth)
+    assert graph.to_dot() == _reference_to_dot(graph)
 
 
 def test_to_json_head_and_empty_arrays_match_stdlib():

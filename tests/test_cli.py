@@ -256,6 +256,21 @@ def test_csv_report_is_streamed(capsys, tmp_path):
     assert target.read_text(encoding="utf-8").count("\n") == count + 1
 
 
+def test_tilt_graph_json_is_streamed(tmp_path):
+    # Closed E6 is 86 MiB of JSON; the export holds one chunk of it at a time.
+    target = tmp_path / "e6.json"
+    argv = ["tilt-graph", "--family", "E", "--rank", "6", "--depth", "37", "--output", "json"]
+    tracemalloc.start()
+    try:
+        code = cli.main([*argv, "--out-file", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    size = target.stat().st_size
+    assert size > 80 * 2**20 and peak < size / 4
+
+
 def _reference_render_human(payload):
     """render_human with two walks and a whole-list json.dumps, as its oracle."""
     lines = []

@@ -12,7 +12,7 @@ from adesystole.actions import (
     simple_tilt,
     validate_heart,
 )
-from adesystole.roots import AdeType, _bareiss, build_root_system
+from adesystole.roots import AdeType, _bareiss, build_root_system, count_positive_roots
 from adesystole.search import SearchConfig
 from adesystole.stability import (
     REL_TOL,
@@ -21,6 +21,7 @@ from adesystole.stability import (
     volume_basis,
     volume_roots,
 )
+from test_actions import assert_graph_matches_reference
 from test_search import (
     assert_optimize_matches_reference,
     assert_sample_matches_reference,
@@ -146,3 +147,13 @@ def test_optimize_matches_reference_search_anywhere(data):
         max_iters=data.draw(st.integers(1, 12), label="max_iters"),
     )
     assert_optimize_matches_reference(rs, cfg)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_exchange_graph_matches_reference_search(data):
+    # Up to rank 5 the graph may close; past rank 16 depth 4 is slow.
+    ade = data.draw(st.sampled_from(ALL_TYPES), label="type")
+    deepest = count_positive_roots(ade) + 1 if ade.rank <= 5 else 4 if ade.rank <= 16 else 3
+    depth = data.draw(st.integers(1, deepest), label="depth")
+    assert_graph_matches_reference(build_root_system(ade), depth)

@@ -59,6 +59,18 @@ def test_config_rejects_sample_count_over_memory_limit(capsys):
     assert captured.err.startswith("error: sample_count must be between 1 and 100,000,000")
 
 
+
+def test_config_rejects_restarts_over_memory_limit(capsys):
+    # The optimizer keeps four float arrays of one entry per restart.
+    assert SearchConfig(restarts=search.MAX_SAMPLE_COUNT).restarts == 10**8
+    for restarts in (search.MAX_SAMPLE_COUNT + 1, 10**15):
+        with pytest.raises(ValueError, match="restarts must be between 1 and 100,000,000"):
+            SearchConfig(restarts=restarts)
+    code = cli.main(["optimize", "--family", "A", "--rank", "2", "--restarts", str(10**15)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"error: restarts must be between 1 and 100,000,000, got {10**15}\n"
+
 # == Sampling ================================================================
 
 def test_a1_all_ratios_equal_two():
