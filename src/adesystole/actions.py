@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain, count, cycle, islice, repeat
 from typing import Iterator, TextIO
@@ -389,14 +389,7 @@ class EquivarianceReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "sys_scaling_error": self.sys_scaling_error,
-            "vol_scaling_error": self.vol_scaling_error,
-            "reflect_error": self.reflect_error,
-            "ratio_error": self.ratio_error,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _rel_err(measured: float, expected: float) -> float:

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
 from adesystole.roots import AdeType, build_root_system
-from adesystole.stability import _NORMAL_MIN, systole_lower, volume_roots
+from adesystole.stability import _NORMAL_MIN, _moduli_and_volume
 
-CENTROID_REL_TOL = 1e-9
 DISTINCT_REL_TOL = 1e-12
 AREA_REL_TOL = 1e-9
 
@@ -57,10 +56,6 @@ class PointConfiguration:
             (i, j, abs(zeta[j] - zeta[i - 1])) for i in range(1, n + 1) for j in range(i, n + 1)
         )
         return SegmentLengths(n=n, entries=entries)
-
-
-def _triangle_area(a: complex, b: complex, c: complex) -> float:
-    return abs(((b - a) * (c - a).conjugate()).imag) / 2.0
 
 
 def validate_configuration(raw_points, ordering=None) -> PointConfiguration:
@@ -100,16 +95,19 @@ def validate_configuration(raw_points, ordering=None) -> PointConfiguration:
     if ordering is None:
         order = tuple(sorted(range(len(pts)), key=lambda k: (pts[k].real, pts[k].imag)))
     else:
-        order = tuple(int(k) for k in ordering)
+        order = tuple(ordering)
+        for k, entry in enumerate(order, 1):
+            if isinstance(entry, bool) or not isinstance(entry, (int, np.integer)):
+                raise ValueError(f"ordering entry {k} must be an integer, got {entry!r}")
         if sorted(order) != list(range(len(pts))):
             raise ValueError(f"ordering must be a permutation of 0..{len(pts) - 1}")
-    general = all(
-        _triangle_area(pts[a], pts[b], pts[c]) > AREA_REL_TOL * scale**2
+    general = all(  # every triangle a, b, c has a nonzero area
+        abs(((pts[b] - pts[a]) * (pts[c] - pts[a]).conjugate()).imag) / 2.0 > AREA_REL_TOL * scale**2
         for a in range(len(pts))
         for b in range(a + 1, len(pts))
         for c in range(b + 1, len(pts))
     )
-    return PointConfiguration(points=tuple(pts), ordering=order, general_position=general)
+    return PointConfiguration(points=tuple(pts), ordering=tuple(map(int, order)), general_position=general)
 
 
 @dataclass(frozen=True)
@@ -183,18 +181,8 @@ class CorrespondenceReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "general_position": self.general_position,
-            "systole_geometric": self.systole_geometric,
-            "systole_categorical": self.systole_categorical,
-            "volume_geometric": self.volume_geometric,
-            "volume_categorical": self.volume_categorical,
-            "systole_rel_error": self.systole_rel_error,
-            "volume_rel_error": self.volume_rel_error,
-            "inequality_slack": self.inequality_slack,
-            "passed": self.passed,
-        }
+        fields = {k: v for k, v in asdict(self).items() if k != "rel_tol"}
+        return {**fields, "passed": self.passed}
 
 
 def verify_correspondence(p: PointConfiguration, rel_tol: float = 1e-9) -> CorrespondenceReport:
@@ -206,12 +194,11 @@ def verify_correspondence(p: PointConfiguration, rel_tol: float = 1e-9) -> Corre
     times the root-sum volume, and the squared systole must stay below
     (n+1)/n times the volume.
     """
-    rs = build_root_system(AdeType("A", p.n))
-    z = induced_charge(p)
+    moduli, vol = _moduli_and_volume(build_root_system(AdeType("A", p.n)), induced_charge(p))
     sys_geo = geometric_systole(p)
-    sys_cat = math.pi * systole_lower(rs, z)
+    sys_cat = math.pi * float(moduli.min())
     vol_geo = geometric_volume(p)
-    vol_cat = math.pi**2 * volume_roots(rs, z)
+    vol_cat = math.pi**2 * vol
     return CorrespondenceReport(
         n=p.n,
         general_position=p.general_position,
@@ -230,18 +217,33 @@ def points_from_coefficients(coeffs) -> list[complex]:
     """Roots of z^{n+1} + a_1 z^{n-1} + ... + a_n from its coefficients.
 
     The z^n coefficient is identically zero (centered polynomials), so the
-    roots automatically have centroid zero.  Roots come from the companion
-    matrix, then are polished by a couple of Newton steps.
+    roots have centroid zero.  As in np.roots, they are the eigenvalues of
+    the companion matrix without the zero trailing coefficients, then as
+    many roots at 0; eigvals is most of a call's cost.  Two Newton steps,
+    p and p' from one Horner loop, polish them where both are finite and
+    p' is nonzero, so a root whose p overflows keeps its eigenvalue.
     """
     a = [complex(c) for c in coeffs]
     if not a:
         raise ValueError("need at least one coefficient")
+    for k, c in enumerate(a, 1):
+        if not cmath.isfinite(c):
+            raise ValueError(f"coefficient {k} is not finite: {c}")
+    size = max(k for k, c in enumerate([1.0, 0.0] + a, 1) if c)  # up to the last nonzero
     poly = np.array([1.0 + 0j, 0.0 + 0j] + a)
-    roots = np.roots(poly)
-    deriv = np.polyder(poly)
-    for _ in range(2):
-        values = np.polyval(poly, roots)
-        slopes = np.polyval(deriv, roots)
-        safe = slopes != 0
-        roots[safe] = roots[safe] - values[safe] / slopes[safe]
+    roots = np.zeros(len(poly) - size, dtype=np.complex128)
+    if size > 1:
+        companion = np.eye(size - 1, k=-1, dtype=np.complex128)
+        companion[0] = -poly[1:size] / poly[0]
+        roots = np.concatenate((np.linalg.eigvals(companion), roots))
+    horner = np.zeros((len(poly), 2, 1), dtype=np.complex128)  # p, and p' after a 0
+    horner[:, 0, 0] = poly
+    horner[1:, 1, 0] = poly[:-1] * np.arange(len(poly) - 1, 0, -1)  # as np.polyder forms it
+    with np.errstate(all="ignore"):
+        for _ in range(2):
+            values = np.zeros((2, len(roots)), dtype=np.complex128)
+            for c in horner:
+                values = values * roots + c
+            safe = np.isfinite(values).all(axis=0) & (values[1] != 0)
+            roots[safe] = roots[safe] - values[0, safe] / values[1, safe]
     return [complex(r) for r in roots]

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from adesystole.roots import RootSystem
-from adesystole.stability import _root_moduli, _systole_upper, _volume, systole_lower
+from adesystole.stability import _root_moduli, _volume, systole_lower
 
 # Phases are kept this far inside (0, 1); the supremum can sit on the wall.
 PHASE_MARGIN = 1e-7
@@ -227,7 +227,7 @@ def _entry(x: np.ndarray, rank: int, k: int) -> np.ndarray:
 def _ratio_parts(rs: RootSystem, z: np.ndarray) -> tuple[float, float, float]:
     """(ratio, sys_upper, volume) of a charge; a trial needs only the ratio."""
     vol = _volume(rs, _root_moduli(rs, z))
-    sys_up = _systole_upper(z)
+    sys_up = float(np.abs(z).min())
     return sys_up**2 / vol, sys_up, vol
 
 

@@ -6,11 +6,13 @@ agree by the exact coefficient identity: a Hermitian form in the inverse
 Cartan matrix over the basis, and a Coxeter-normalized sum of |Z(M)|^2
 over the positive roots M.  The systole is bracketed: the minimum over
 the simples bounds it above, the minimum over all positive roots bounds
-it below.
+it below.  A call checks its charge in one pass over `z.tolist()`; what
+is left of its cost is numpy's dispatch of R @ z, abs and the reductions.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,24 +27,29 @@ SLACK_REL_TOL = 1e-12
 _NORMAL_MIN = float(np.finfo(np.float64).tiny)
 
 
-def as_charge(values, rank: int | None = None) -> np.ndarray:
-    """Coerce a sequence of finite complex numbers into a charge vector."""
+def _checked(values, rank: int | None) -> tuple[np.ndarray, list]:
+    """The charge vector and its entries, checked finite in one tolist pass."""
     z = np.asarray(values, dtype=np.complex128)
     if z.ndim != 1:
         raise ValueError(f"charge must be a flat vector, got shape {z.shape}")
     if rank is not None and z.shape[0] != rank:
         raise ValueError(f"charge has length {z.shape[0]}, expected {rank}")
-    if not np.isfinite(z).all():
+    entries = z.tolist()
+    if not all(map(cmath.isfinite, entries)):
         raise ValueError("charge has a non-finite entry")
-    return z
+    return z, entries
+
+
+def as_charge(values, rank: int | None = None) -> np.ndarray:
+    """Coerce a sequence of finite complex numbers into a charge vector."""
+    return _checked(values, rank)[0]
 
 
 def _nonzero_charge(rs: RootSystem, Z) -> np.ndarray:
-    """A charge with no zero entry: a stability condition sends no simple to 0."""
-    z = as_charge(Z, rs.rank)
-    if not z.all():
-        vertex = int(np.flatnonzero(z == 0)[0]) + 1
-        raise ValueError(f"charge is zero at vertex {vertex}; a zero entry has no systole")
+    """A charge with no zero entry (-0.0 is one): a stability condition sends no simple to 0."""
+    z, entries = _checked(Z, rs.rank)
+    if 0 in entries:
+        raise ValueError(f"charge is zero at vertex {entries.index(0) + 1}; a zero entry has no systole")
     return z
 
 
@@ -89,14 +96,6 @@ def _volume(rs: RootSystem, moduli: np.ndarray) -> float:
     return float(moduli @ moduli) / rs.coxeter
 
 
-def _systole_upper(z: np.ndarray) -> float:
-    return float(np.abs(z).min())
-
-
-def _systole_lower(moduli: np.ndarray) -> float:
-    return float(moduli.min())
-
-
 def volume_roots(rs: RootSystem, Z) -> float:
     """Volume via the root sum: (1/h) * sum over positive roots of |Z(M)|^2."""
     z = as_charge(Z, rs.rank)
@@ -107,14 +106,14 @@ def systole_upper(rs: RootSystem, Z) -> float:
     """Upper systole bound min_i |Z_i|; the simples are stable in every
     stability condition over the standard heart, so their smallest modulus
     dominates the systole there."""
-    return _systole_upper(_nonzero_charge(rs, Z))
+    return float(np.abs(_nonzero_charge(rs, Z)).min())
 
 
 def systole_lower(rs: RootSystem, Z) -> float:
     """Lower systole bound min over all positive roots of |Z(M)|; every
     stable class is a positive root up to sign, so nothing stable can have
     smaller modulus."""
-    return _systole_lower(_root_moduli(rs, _nonzero_charge(rs, Z)))
+    return float(_root_moduli(rs, _nonzero_charge(rs, Z)).min())
 
 
 def heart_membership(Z) -> bool:
@@ -152,19 +151,25 @@ class SystolicReport:
         }
 
 
+def _moduli_and_volume(rs: RootSystem, Z) -> tuple[np.ndarray, float]:
+    """Validate a nonzero charge once; its root moduli and root-sum volume."""
+    z = _nonzero_charge(rs, Z)
+    moduli = _root_moduli(rs, z)
+    return moduli, _in_range(_volume(rs, moduli), z)
+
+
 def check_inequality(rs: RootSystem, Z) -> SystolicReport:
     """Evaluate the systolic inequality sys^2 <= (h/n) vol at the charge Z,
     using the upper systole bound (which dominates the true systole).
 
-    The charge is validated once and the root moduli computed once; the
+    The charge is validated and its root moduli computed once; the first n
+    moduli are |Z_i| (the positive roots begin with the simples), so the
     fields equal volume_roots, systole_upper and systole_lower exactly."""
-    z = _nonzero_charge(rs, Z)
-    moduli = _root_moduli(rs, z)
-    vol = _in_range(_volume(rs, moduli), z)
-    sys_up = _systole_upper(z)
+    moduli, vol = _moduli_and_volume(rs, Z)
+    sys_up = float(moduli[: rs.rank].min())
     bound = rs.bound
     return SystolicReport(
-        sys_lower=_systole_lower(moduli),
+        sys_lower=float(moduli.min()),
         sys_upper=sys_up,
         volume=vol,
         ratio_upper=sys_up**2 / vol,

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 import shlex
 import tracemalloc
@@ -320,6 +321,44 @@ def test_correspond_with_polynomial(capsys):
     assert code == 0
     assert payload["passed"] is True
     assert payload["n"] == 2
+
+
+# sha256 of stdout, captured before the polish evaluated p and p' in one
+# Horner loop and the correspondence took one root product.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("correspond", "--poly", "0+0i,-1+0i"),
+            "2803da2cf06b5a4199f2dfa7f6f6333b5be6c6cdf304abfdbdde2116ff920e60",
+        ),
+        (
+            ("correspond", "--poly", "0+0i,-1+0i", "--output", "json"),
+            "3d866ff826a4ea7de4aa20845562e3aa6eba9267d77661d3788c976356d5c6ba",
+        ),
+        (
+            ("milnor", "--points", "1+0i,-1+0i", "--correspond"),
+            "914f36288f51f8203578dd34714c54b50cf412b7322e3ef4b222fc0782565128",
+        ),
+        (
+            ("milnor", "--points", "1+0i,-1+0i", "--correspond", "--output", "json"),
+            "e6cc0edd7a45320ea72040de85e0fbcdd11ecc5469021461e2c831c901a0fb26",
+        ),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else "sha256",
+)
+def test_correspondence_reports_are_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_correspond_with_polynomial_whose_value_overflows_at_a_root(capsys):
+    # z^3 + 1e300 z + 1: p overflows at its roots +-1e150 i.
+    code, payload = run_json(capsys, "correspond", "--poly", "1e300+0i,1+0i")
+    assert code == 0
+    assert payload["passed"] is True
+    assert payload["systole_geometric"] == pytest.approx(math.pi * 1e150)
 
 
 def test_milnor_flags_collinear(capsys):

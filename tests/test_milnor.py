@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from adesystole.milnor import (
+    CorrespondenceReport,
     geometric_systole,
     geometric_volume,
     induced_charge,
@@ -17,6 +18,7 @@ from adesystole.milnor import (
 )
 from adesystole.roots import AdeType, build_root_system
 from adesystole.stability import evaluate_charge
+from test_stability import outcome, reference_systole_lower, reference_volume_roots
 
 CUBE_ROOTS = [1, cmath.exp(2j * math.pi / 3), cmath.exp(-2j * math.pi / 3)]
 
@@ -95,6 +97,23 @@ def test_explicit_ordering_override():
     assert induced_charge(config)[0] == -2
     with pytest.raises(ValueError):
         validate_configuration([1, -1], ordering=[0, 0])
+    config = validate_configuration([1, -1, 1j], ordering=np.array([2, 0, 1]))
+    assert config.ordering == (2, 0, 1)
+    assert all(type(k) is int for k in config.ordering)
+
+
+@pytest.mark.parametrize(
+    "ordering, entry",
+    [
+        ([0.9, 1.2], "1 must be an integer, got 0.9"),
+        ([0, 1.0], "2 must be an integer, got 1.0"),
+        ([True, False], "1 must be an integer, got True"),
+        (["1", "0"], "1 must be an integer, got '1'"),
+    ],
+)
+def test_ordering_entries_must_be_integers(ordering, entry):
+    with pytest.raises(ValueError, match=f"ordering entry {entry}"):
+        validate_configuration([1, -1], ordering=ordering)
 
 
 # == Segment lengths =========================================================
@@ -266,3 +285,120 @@ def test_poly_with_repeated_roots_rejected_downstream():
 def test_poly_requires_coefficients():
     with pytest.raises(ValueError):
         points_from_coefficients([])
+
+
+@pytest.mark.parametrize(
+    "coeffs, k",
+    [([math.nan], 1), ([1, math.inf], 2), ([0, 1, complex(0, math.nan)], 3), ([complex(-math.inf, 0)], 1)],
+)
+def test_poly_non_finite_coefficient_rejected_by_position(coeffs, k):
+    with pytest.raises(ValueError, match=f"coefficient {k} is not finite"):
+        points_from_coefficients(coeffs)
+
+
+def test_poly_polish_keeps_roots_whose_value_overflows():
+    # z^3 + 1e300 z + 1 has roots +-1e150 i and about -1e-300: p overflows at
+    # the first two, so the polish leaves their eigenvalues as they are.
+    pts = points_from_coefficients([1e300, 1])
+    assert all(cmath.isfinite(p) for p in pts)
+    assert sorted(abs(p) for p in pts) == pytest.approx([1e-300, 1e150, 1e150])
+    report = verify_correspondence(validate_configuration(pts))
+    assert report.passed
+
+
+# == Reference polynomial roots and correspondence ===========================
+# points_from_coefficients and verify_correspondence as they were when the
+# roots came from np.roots, the polish from four np.polyval calls, and the
+# categorical side from systole_lower and volume_roots: results must match
+# them byte for byte wherever the old polish stayed finite.
+
+def reference_points_from_coefficients(coeffs):
+    a = [complex(c) for c in coeffs]
+    if not a:
+        raise ValueError("need at least one coefficient")
+    poly = np.array([1.0 + 0j, 0.0 + 0j] + a)
+    roots = np.roots(poly)
+    deriv = np.polyder(poly)
+    for _ in range(2):
+        values = np.polyval(poly, roots)
+        slopes = np.polyval(deriv, roots)
+        safe = slopes != 0
+        roots[safe] = roots[safe] - values[safe] / slopes[safe]
+    return [complex(r) for r in roots]
+
+
+def reference_verify_correspondence(p, rel_tol=1e-9):
+    rs = build_root_system(AdeType("A", p.n))
+    z = induced_charge(p)
+    sys_geo = geometric_systole(p)
+    sys_cat = math.pi * reference_systole_lower(rs, z)
+    vol_geo = geometric_volume(p)
+    vol_cat = math.pi**2 * reference_volume_roots(rs, z)
+    return CorrespondenceReport(
+        n=p.n,
+        general_position=p.general_position,
+        systole_geometric=sys_geo,
+        systole_categorical=sys_cat,
+        volume_geometric=vol_geo,
+        volume_categorical=vol_cat,
+        systole_rel_error=abs(sys_geo - sys_cat) / max(sys_geo, sys_cat),
+        volume_rel_error=abs(vol_geo - vol_cat) / max(vol_geo, vol_cat),
+        inequality_slack=(p.n + 1) / p.n * vol_geo - sys_geo**2,
+        rel_tol=rel_tol,
+    )
+
+
+def reference_correspondence_dict(r):
+    return {
+        "n": r.n,
+        "general_position": r.general_position,
+        "systole_geometric": r.systole_geometric,
+        "systole_categorical": r.systole_categorical,
+        "volume_geometric": r.volume_geometric,
+        "volume_categorical": r.volume_categorical,
+        "systole_rel_error": r.systole_rel_error,
+        "volume_rel_error": r.volume_rel_error,
+        "inequality_slack": r.inequality_slack,
+        "passed": r.passed,
+    }
+
+
+def assert_poly_matches_reference(coeffs):
+    """Same roots bit for bit (repr tells -0.0 from 0.0); when they form a
+    valid configuration, the same correspondence report and dict."""
+    found = outcome(points_from_coefficients, coeffs)
+    expected = outcome(reference_points_from_coefficients, coeffs)
+    assert expected[1] == [], f"the reference polish overflowed on {coeffs}"
+    assert found == expected, coeffs
+    try:
+        config = validate_configuration(points_from_coefficients(coeffs))
+    except ValueError:
+        return
+    report = verify_correspondence(config)
+    assert repr(report) == repr(reference_verify_correspondence(config))
+    assert repr(report.as_dict()) == repr(reference_correspondence_dict(report))
+
+
+def polynomial_cases(rng, n):
+    """Coefficients a_1..a_n of monic centered polynomials of degree n+1:
+    from random centered roots, raw random values at spread scales, with
+    zero trailing coefficients of either sign, and with repeated roots."""
+    pts = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    from_roots = list(np.poly(pts - pts.mean())[2:])
+    yield from_roots
+    for scale in (1e-6, 1.0, 1e6):
+        yield list(scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    yield list(rng.standard_normal(n))
+    for k in sorted({1, n // 2, n}):
+        yield from_roots[: n - k] + [0.0] * k
+        yield from_roots[: n - k] + [complex(-0.0, -0.0)] * k
+    half = rng.standard_normal((n + 2) // 2) + 1j * rng.standard_normal((n + 2) // 2)
+    doubled = np.concatenate([half, half])[: n + 1]
+    yield list(np.poly(doubled - doubled.mean())[2:])
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_poly_roots_and_correspondence_match_reference(n):
+    rng = np.random.default_rng(40_000 + n)
+    for coeffs in polynomial_cases(rng, n):
+        assert_poly_matches_reference(coeffs)

@@ -22,11 +22,13 @@ from adesystole.stability import (
     volume_roots,
 )
 from test_actions import assert_graph_matches_reference
+from test_milnor import assert_poly_matches_reference
 from test_search import (
     assert_optimize_matches_reference,
     assert_sample_matches_reference,
     block_rows,
 )
+from test_stability import assert_kernels_match_reference
 
 ALL_TYPES = (
     [AdeType("A", n) for n in range(1, 33)]
@@ -157,3 +159,33 @@ def test_exchange_graph_matches_reference_search(data):
     deepest = count_positive_roots(ade) + 1 if ade.rank <= 5 else 4 if ade.rank <= 16 else 3
     depth = data.draw(st.integers(1, deepest), label="depth")
     assert_graph_matches_reference(build_root_system(ade), depth)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_kernels_match_reference_anywhere(data):
+    # Entries over the whole float range, zeros of either sign included, so
+    # that volumes also underflow or overflow and zero entries are hit.
+    rs = build_root_system(data.draw(st.sampled_from(ALL_TYPES), label="type"))
+    parts = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from((0.0, -0.0))
+    drawn = data.draw(st.lists(st.tuples(parts, parts), min_size=rs.rank, max_size=rs.rank), label="charge")
+    assert_kernels_match_reference(rs, np.array([complex(re, im) for re, im in drawn]))
+    assert_kernels_match_reference(rs, draw_heart_charge(data, rs.rank, decades=3.0))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_poly_roots_and_correspondence_match_reference_anywhere(data):
+    # Coefficients within 1e3 keep the reference's polish finite up to
+    # degree 33; zero trailing coefficients and repeated roots are drawn too.
+    n = data.draw(st.integers(1, 32), label="n")
+    part = st.floats(-1e3, 1e3) | st.sampled_from((0.0, -0.0, 1.0))
+    coeffs = data.draw(st.lists(st.tuples(part, part), min_size=n, max_size=n), label="coefficients")
+    coeffs = [complex(re, im) for re, im in coeffs]
+    zeros = data.draw(st.integers(0, n), label="zero trailing coefficients")
+    coeffs[n - zeros :] = [0j] * zeros
+    if data.draw(st.booleans(), label="repeated roots"):
+        half = np.array(coeffs[: (n + 2) // 2] or [1.0])
+        doubled = np.concatenate([half, half])[: n + 1]
+        coeffs = list(np.poly(doubled - doubled.mean())[2:])
+    assert_poly_matches_reference(coeffs)

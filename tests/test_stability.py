@@ -3,6 +3,7 @@ bounds, the inequality report, and heart membership."""
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,9 @@ import pytest
 
 from adesystole.roots import AdeType, build_root_system
 from adesystole.stability import (
+    _NORMAL_MIN,
+    REL_TOL,
+    SystolicReport,
     as_charge,
     check_inequality,
     evaluate_charge,
@@ -18,6 +22,12 @@ from adesystole.stability import (
     systole_upper,
     volume_basis,
     volume_roots,
+)
+
+ALL_TYPES = (
+    [AdeType("A", n) for n in range(1, 33)]
+    + [AdeType("D", n) for n in range(4, 33)]
+    + [AdeType("E", n) for n in (6, 7, 8)]
 )
 
 ALL_SMALL_TYPES = (
@@ -236,3 +246,143 @@ def test_heart_membership_examples():
     assert heart_membership([1, 1j]) is False  # phase 0 does not
     assert heart_membership([1j, -1j]) is False
     assert heart_membership([0, 1j]) is False
+
+
+# == Reference kernels =======================================================
+# The five kernels as they were when each validated its charge with numpy's
+# isfinite/all and check_inequality took sys_upper from |z|: every result,
+# error and warning of the kernels must match them byte for byte.
+
+def _ref_as_charge(values, rank):
+    z = np.asarray(values, dtype=np.complex128)
+    if z.ndim != 1:
+        raise ValueError(f"charge must be a flat vector, got shape {z.shape}")
+    if z.shape[0] != rank:
+        raise ValueError(f"charge has length {z.shape[0]}, expected {rank}")
+    if not np.isfinite(z).all():
+        raise ValueError("charge has a non-finite entry")
+    return z
+
+
+def _ref_nonzero_charge(rs, Z):
+    z = _ref_as_charge(Z, rs.rank)
+    if not z.all():
+        vertex = int(np.flatnonzero(z == 0)[0]) + 1
+        raise ValueError(f"charge is zero at vertex {vertex}; a zero entry has no systole")
+    return z
+
+
+def _ref_in_range(vol, z):
+    if not vol < np.inf or (vol < _NORMAL_MIN and z.any()):
+        raise ValueError(f"charge is out of float range: its volume evaluates to {vol!r}")
+    return vol
+
+
+def _ref_volume(rs, moduli):
+    return float(moduli @ moduli) / rs.coxeter
+
+
+def reference_volume_basis(rs, Z):
+    z = _ref_as_charge(Z, rs.rank)
+    s = complex(np.conjugate(z) @ (rs.inverse_array @ z))
+    vol = _ref_in_range(abs(s), z)
+    scale = max(1.0, vol)
+    if abs(s.imag) > REL_TOL * scale:
+        raise ArithmeticError(f"volume form is not real: {s!r}")
+    if s.real < -REL_TOL * scale:
+        raise ArithmeticError(f"volume form is negative: {s!r}")
+    return vol
+
+
+def reference_volume_roots(rs, Z):
+    z = _ref_as_charge(Z, rs.rank)
+    return _ref_in_range(_ref_volume(rs, np.abs(rs.complex_root_matrix @ z)), z)
+
+
+def reference_systole_upper(rs, Z):
+    return float(np.abs(_ref_nonzero_charge(rs, Z)).min())
+
+
+def reference_systole_lower(rs, Z):
+    return float(np.abs(rs.complex_root_matrix @ _ref_nonzero_charge(rs, Z)).min())
+
+
+def reference_check_inequality(rs, Z):
+    z = _ref_nonzero_charge(rs, Z)
+    moduli = np.abs(rs.complex_root_matrix @ z)
+    vol = _ref_in_range(_ref_volume(rs, moduli), z)
+    sys_up = float(np.abs(z).min())
+    bound = rs.bound
+    return SystolicReport(
+        sys_lower=float(moduli.min()),
+        sys_upper=sys_up,
+        volume=vol,
+        ratio_upper=sys_up**2 / vol,
+        bound=bound,
+        slack=float(bound) * vol - sys_up**2,
+    )
+
+
+KERNEL_PAIRS = (
+    (volume_basis, reference_volume_basis),
+    (volume_roots, reference_volume_roots),
+    (systole_upper, reference_systole_upper),
+    (systole_lower, reference_systole_lower),
+    (check_inequality, reference_check_inequality),
+)
+
+
+def outcome(fn, *args):
+    """repr of the result, or the error's type and text, plus every warning;
+    repr tells -0.0 from 0.0 and gives every float's exact digits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("ok", repr(fn(*args)))
+        except (ValueError, ArithmeticError) as exc:
+            result = (type(exc).__name__, str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_kernels_match_reference(rs, z):
+    for kernel, reference in KERNEL_PAIRS:
+        assert outcome(kernel, rs, z) == outcome(reference, rs, z), (kernel.__name__, z)
+
+
+def adversarial_charges(rng, rank):
+    """Random charges at spread scales, and the same with zero entries of
+    either sign, signed-zero parts, non-finite entries, and volumes that
+    are subnormal or overflow."""
+    base = rng.standard_normal(rank) + 1j * rng.standard_normal(rank)
+    yield from random_charges(rng, 4, rank)
+    for scale in (1e-170, 1e-160, 1e-150, 1e150, 1e160, 1e300):
+        yield base * scale
+    for k in sorted({0, rank // 2, rank - 1}):
+        for zero in (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
+            z = base.copy()
+            z[k] = zero
+            yield z
+        for bad in (math.nan, complex(0.0, math.inf), complex(-math.inf, 1.0)):
+            z = base.copy()
+            z[k] = bad
+            yield z
+    yield np.array([complex(-0.0, x.imag) for x in base])
+    yield np.array([complex(x.real, -0.0) for x in base])
+    yield np.zeros(rank, dtype=np.complex128)
+    yield -np.zeros(rank, dtype=np.complex128)
+
+
+@pytest.mark.parametrize("ade", ALL_TYPES, ids=str)
+def test_kernels_match_reference_byte_for_byte(ade):
+    rs = build_root_system(ade)
+    rng = np.random.default_rng(30_000 + 100 * "ADE".index(ade.family) + ade.rank)
+    for z in adversarial_charges(rng, rs.rank):
+        assert_kernels_match_reference(rs, z)
+        assert_kernels_match_reference(rs, list(z))
+
+
+def test_signed_zero_entry_is_a_zero_entry():
+    for zero in (complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
+        for fn in (systole_upper, systole_lower, check_inequality):
+            with pytest.raises(ValueError, match="zero at vertex 2"):
+                fn(A2, [1j, zero])
