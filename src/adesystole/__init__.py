@@ -1,105 +1,54 @@
-"""Systoles and volumes of stability data on ADE root systems."""
+"""Systoles and volumes of stability data on ADE root systems.
 
-from adesystole.roots import (
-    AdeType,
-    IdentityReport,
-    RootSystem,
-    build_root_system,
-    cartan_matrix,
-    cartan_pairing,
-    count_positive_roots,
-    coxeter_number,
-    verify_volume_identity,
-)
-from adesystole.stability import (
-    SystolicReport,
-    as_charge,
-    check_inequality,
-    evaluate_charge,
-    heart_membership,
-    systole_lower,
-    systole_upper,
-    volume_basis,
-    volume_roots,
-)
-from adesystole.actions import (
-    BACKWARD,
-    FORWARD,
-    EquivarianceReport,
-    ExchangeGraph,
-    HeartState,
-    act_scaling,
-    canonical_heart,
-    exchange_graph,
-    reflect_charge,
-    reflect_class,
-    simple_tilt,
-    verify_action_equivariance,
-)
-from adesystole.search import (
-    SearchConfig,
-    SearchResult,
-    optimize_ratio,
-    sample_ratios,
-)
-from adesystole.milnor import (
-    CorrespondenceReport,
-    PointConfiguration,
-    SegmentLengths,
-    geometric_systole,
-    geometric_volume,
-    induced_charge,
-    points_from_coefficients,
-    segment_lengths,
-    validate_configuration,
-    verify_correspondence,
-)
+`import adesystole` loads no submodule: the first use of a public name
+imports the module that defines it.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdeType",
-    "BACKWARD",
-    "CorrespondenceReport",
-    "EquivarianceReport",
-    "ExchangeGraph",
-    "FORWARD",
-    "HeartState",
-    "IdentityReport",
-    "PointConfiguration",
-    "RootSystem",
-    "SearchConfig",
-    "SearchResult",
-    "SegmentLengths",
-    "SystolicReport",
-    "act_scaling",
-    "as_charge",
-    "build_root_system",
-    "canonical_heart",
-    "cartan_matrix",
-    "cartan_pairing",
-    "check_inequality",
-    "count_positive_roots",
-    "coxeter_number",
-    "evaluate_charge",
-    "exchange_graph",
-    "geometric_systole",
-    "geometric_volume",
-    "heart_membership",
-    "induced_charge",
-    "optimize_ratio",
-    "points_from_coefficients",
-    "reflect_charge",
-    "reflect_class",
-    "sample_ratios",
-    "segment_lengths",
-    "simple_tilt",
-    "systole_lower",
-    "systole_upper",
-    "validate_configuration",
-    "verify_action_equivariance",
-    "verify_correspondence",
-    "verify_volume_identity",
-    "volume_basis",
-    "volume_roots",
-]
+# Each public name and the submodule that defines it.
+_SOURCES = {
+    **dict.fromkeys(
+        ("AdeType", "IdentityReport", "RootSystem", "build_root_system", "cartan_matrix",
+         "cartan_pairing", "count_positive_roots", "coxeter_number", "verify_volume_identity"),
+        "roots",
+    ),
+    **dict.fromkeys(
+        ("SystolicReport", "as_charge", "check_inequality", "evaluate_charge", "heart_membership",
+         "systole_lower", "systole_upper", "volume_basis", "volume_roots"),
+        "stability",
+    ),
+    **dict.fromkeys(
+        ("BACKWARD", "FORWARD", "EquivarianceReport", "ExchangeGraph", "HeartState", "act_scaling",
+         "canonical_heart", "exchange_graph", "reflect_charge", "reflect_class", "simple_tilt",
+         "verify_action_equivariance"),
+        "actions",
+    ),
+    **dict.fromkeys(("SearchConfig", "SearchResult", "optimize_ratio", "sample_ratios"), "search"),
+    **dict.fromkeys(
+        ("CorrespondenceReport", "PointConfiguration", "SegmentLengths", "geometric_systole",
+         "geometric_volume", "induced_charge", "points_from_coefficients", "segment_lengths",
+         "validate_configuration", "verify_correspondence"),
+        "milnor",
+    ),
+}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name):
+    """A public name from its submodule, or a submodule asked for by name.
+
+    The value is not cached here: a name rebound in its submodule (a test
+    patch, a tracing wrapper) is seen, and its restoration too."""
+    if name in _SOURCES:
+        return getattr(importlib.import_module(f"{__name__}.{_SOURCES[name]}"), name)
+    if name in _SOURCES.values():
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -24,7 +24,7 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from adesystole.roots import RootClass, RootSystem, _bareiss
-from adesystole.stability import REL_TOL, _nonzero_charge, as_charge, systole_upper, volume_roots
+from adesystole.stability import REL_TOL, _in_range, _nonzero_charge, as_charge, systole_upper, volume_roots
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -396,13 +396,6 @@ def _rel_err(measured: float, expected: float) -> float:
     return abs(measured - expected) / max(1.0, abs(expected))
 
 
-def _squares_in_range(rs: RootSystem, z: np.ndarray) -> bool:
-    """Whether z has finite nonzero entries and sys^2 and vol are positive finite floats."""
-    if not (np.isfinite(z).all() and z.all()):
-        return False
-    return all(0.0 < v < math.inf for v in (systole_upper(rs, z) ** 2, volume_roots(rs, z)))
-
-
 def verify_action_equivariance(
     rs: RootSystem, Z, zeta: complex, trials: int = 1, seed: int = 0
 ) -> EquivarianceReport:
@@ -416,12 +409,16 @@ def verify_action_equivariance(
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     z0 = _nonzero_charge(rs, Z)
-    if not _squares_in_range(rs, z0):
-        raise ValueError("the charge's systole squared or volume is out of floating-point range")
+    _in_range(volume_roots(rs, z0), z0, systole_upper(rs, z0))
     zeta = complex(zeta)
-    in_range = cmath.isfinite(zeta) and 2 * math.pi * abs(zeta.imag) < math.log(np.finfo(float).max)
-    if not (in_range and _squares_in_range(rs, act_scaling(z0, zeta))):
-        raise ValueError(f"zeta = {zeta} rescales the charge out of floating-point range")
+    out_of_range = f"zeta = {zeta} rescales the charge out of floating-point range"
+    if not (cmath.isfinite(zeta) and 2 * math.pi * abs(zeta.imag) < math.log(np.finfo(float).max)):
+        raise ValueError(out_of_range)
+    scaled = act_scaling(z0, zeta)
+    try:
+        _in_range(volume_roots(rs, scaled), scaled, systole_upper(rs, scaled))
+    except ValueError as exc:
+        raise ValueError(f"{out_of_range}: {exc}") from None
     rng = np.random.default_rng(seed)
     pairs = [(z0, zeta)]
     for _ in range(trials - 1):

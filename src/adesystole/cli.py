@@ -3,7 +3,10 @@
 One table, `COMMANDS`, drives parsing, dispatch and emission.  Exit status
 is 0 on success, 1 on bad input, and 2 when a mathematical property that
 should always hold fails numerically (which would mean an implementation
-bug, so CI can tell it apart from user error).
+bug, so CI can tell it apart from user error).  A reader that closes the
+pipe early (`| head`) ends the run quietly with status 0.  Every command
+needs `roots` and `stability`; the modules only some commands use are
+imported by their handlers, so a run loads no more than it needs.
 """
 
 from __future__ import annotations
@@ -11,16 +14,20 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from adesystole import actions, milnor, roots, search, stability
+from adesystole import roots, stability
+
+if TYPE_CHECKING:
+    from adesystole import milnor, search
 
 SCHEMA_VERSION = 1
 
@@ -66,29 +73,22 @@ def format_charge(values) -> str:
     return ",".join(format_complex(complex(z)) for z in values)
 
 
-def _jsonable(value):
+def _jsonable(value, fmt=None):
+    """`value` as JSON data, in one walk: Fractions as strings, complex
+    numbers as 'a+bi', tuples as lists, and floats through `fmt` if given."""
+    if isinstance(value, (int, str)):
+        return value  # the common leaves, before the slow Fraction check
+    if isinstance(value, float):
+        return value if fmt is None else fmt(value)
+    if isinstance(value, dict):
+        return {k: _jsonable(v, fmt) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v, fmt) for v in value]
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, complex):
         return format_complex(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
     return value
-
-
-def _fmt17(value):
-    """`_jsonable(value)` with every float at 17 significant digits, in one walk."""
-    if isinstance(value, (int, str)):
-        return value  # the common leaves; the Fraction check in _jsonable is slow
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    if isinstance(value, dict):
-        return {k: _fmt17(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_fmt17(v) for v in value]
-    return _jsonable(value)
 
 
 def render_human(payload: dict) -> str:
@@ -96,7 +96,7 @@ def render_human(payload: dict) -> str:
     than 100 characters gets one indented line per item instead."""
     lines = []
     for key, value in payload.items():
-        value = _fmt17(value)
+        value = _jsonable(value, "{:.17g}".format)
         if isinstance(value, list):
             # With default separators json.dumps(value) is exactly this join.
             parts = [json.dumps(item) for item in value]
@@ -120,15 +120,16 @@ _CSV_ROWS = 8192
 
 def render_csv(result: search.SearchResult) -> Iterator[str]:
     """One row per sample (or restart), floats at 17 significant digits,
-    as chunks of `_CSV_ROWS` rows; each row starts with its newline."""
+    as chunks of `_CSV_ROWS` rows; each row starts with its newline.  A
+    chunk is one `%` template applied to its rows, the index riding along
+    as a float column (exact far beyond the 10^8 rows a report can have)."""
     columns = (result.ratios, result.sys_upper, result.sys_lower, result.volumes)
+    count = len(result.ratios)
     yield "index,ratio,sys_upper,sys_lower,volume"
-    for start in range(0, len(result.ratios), _CSV_ROWS):
-        block = (c[start : start + _CSV_ROWS].tolist() for c in columns)
-        yield "".join(
-            f"\n{idx},{ratio:.17g},{upper:.17g},{lower:.17g},{volume:.17g}"
-            for idx, (ratio, upper, lower, volume) in enumerate(zip(*block), start)
-        )
+    for start in range(0, count, _CSV_ROWS):
+        stop = min(start + _CSV_ROWS, count)
+        block = np.column_stack((np.arange(start, stop, dtype=np.float64), *(c[start:stop] for c in columns)))
+        yield ("\n%d,%.17g,%.17g,%.17g,%.17g" * (stop - start)) % tuple(block.ravel().tolist())
 
 
 def emit(report: str | Iterable[str], out_file: str | None) -> None:
@@ -138,6 +139,7 @@ def emit(report: str | Iterable[str], out_file: str | None) -> None:
     with open(out_file, "w", encoding="utf-8") if out_file else nullcontext(sys.stdout) as out:
         out.writelines(chunks)
         out.write("\n")
+        out.flush()  # a closed pipe fails here, inside main, not at exit
 
 
 def read_config(path: str) -> dict:
@@ -252,42 +254,38 @@ def _inequality(args, rs: roots.RootSystem) -> Report:
     return Report(report.as_dict(), report.satisfied(), {"charge": format_charge(z)})
 
 
-def _search_config(args) -> search.SearchConfig:
-    """SearchConfig from the options given; sample has no --restarts, optimize no --count."""
+def _search(args, rs: roots.RootSystem) -> Report:
+    """sample or optimize, with the SearchConfig from the options given;
+    sample has no --restarts, optimize no --count."""
+    from adesystole import search
+
     given = {
         "sample_count": getattr(args, "count", None),
         "seed": args.seed,
         "restarts": getattr(args, "restarts", None),
     }
-    return search.SearchConfig(**{k: v for k, v in given.items() if v is not None})
-
-
-def _search_report(result: search.SearchResult, inputs: dict) -> Report:
+    cfg = search.SearchConfig(**{k: v for k, v in given.items() if v is not None})
+    if args.command == "sample":
+        result, inputs = search.sample_ratios(rs, cfg), {"seed": cfg.seed, "count": cfg.sample_count}
+    else:
+        result, inputs = search.optimize_ratio(rs, cfg), {"seed": cfg.seed, "restarts": cfg.restarts}
     fields = result.summary()
     fields["best_charge_str"] = format_charge(result.best_charge)
     return Report(fields, result.samples_violating == 0, inputs, result)
 
 
-def _sample(args, rs: roots.RootSystem) -> Report:
-    cfg = _search_config(args)
-    inputs = {"seed": cfg.seed, "count": cfg.sample_count}
-    return _search_report(search.sample_ratios(rs, cfg), inputs)
-
-
-def _optimize(args, rs: roots.RootSystem) -> Report:
-    cfg = _search_config(args)
-    inputs = {"seed": cfg.seed, "restarts": cfg.restarts}
-    return _search_report(search.optimize_ratio(rs, cfg), inputs)
-
-
 def _tilt_graph(args, rs: roots.RootSystem) -> Report:
     """The graph is the source of every output mode; json and dot stream
     its exports in chunks, and only human output builds its adjacency."""
+    from adesystole import actions
+
     depth = args.depth if args.depth is not None else 4
     return Report({}, True, {"depth": depth}, actions.exchange_graph(rs, depth))
 
 
 def _configuration(args) -> milnor.PointConfiguration:
+    from adesystole import milnor
+
     if args.points is not None and args.poly is not None:
         raise CLIError("give either --points or --poly, not both")
     if args.points is not None:
@@ -300,6 +298,8 @@ def _configuration(args) -> milnor.PointConfiguration:
 
 
 def _milnor(args, _rs) -> Report:
+    from adesystole import milnor
+
     config = _configuration(args)
     lengths = milnor.segment_lengths(config)
     fields = {
@@ -321,6 +321,8 @@ def _milnor(args, _rs) -> Report:
 
 
 def _correspond(args, _rs) -> Report:
+    from adesystole import milnor
+
     config = _configuration(args)
     report = milnor.verify_correspondence(config)
     fields = report.as_dict()
@@ -369,8 +371,8 @@ COMMANDS = {
     "volume": Command(_volume, "volume of a charge along both routes", options=_CHARGE),
     "systole": Command(_systole, "systole bracket of a charge", options=_CHARGE),
     "inequality": Command(_inequality, "systolic inequality report for a charge", options=_CHARGE),
-    "sample": Command(_sample, "seeded ratio sampling", options=_SAMPLE, outputs=_CSV),
-    "optimize": Command(_optimize, "pattern-search ratio maximization", options=_OPTIMIZE, outputs=_CSV),
+    "sample": Command(_search, "seeded ratio sampling", options=_SAMPLE, outputs=_CSV),
+    "optimize": Command(_search, "pattern-search ratio maximization", options=_OPTIMIZE, outputs=_CSV),
     "tilt-graph": Command(
         _tilt_graph,
         "class-level tilt graph",
@@ -456,6 +458,11 @@ def main(argv=None) -> int:
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return run(argv)
+    except BrokenPipeError:
+        # The reader has all it wanted; stdout goes to devnull so that the
+        # interpreter's flush at exit does not fail on the pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

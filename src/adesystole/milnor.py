@@ -14,12 +14,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from adesystole.roots import AdeType, build_root_system
-from adesystole.stability import _NORMAL_MIN, _moduli_and_volume
+from adesystole.roots import _positive_roots
+from adesystole.stability import _NORMAL_MIN, _in_range
 
 DISTINCT_REL_TOL = 1e-12
 AREA_REL_TOL = 1e-9
@@ -185,6 +185,16 @@ class CorrespondenceReport:
         return {**fields, "passed": self.passed}
 
 
+@lru_cache(maxsize=32)
+def _segment_classes(n: int) -> np.ndarray:
+    """The positive roots of A_n, the segment classes, as complex rows in
+    `build_root_system`'s order.  They are raised from the Cartan matrix
+    here because a configuration may have more points than AdeType's rank
+    cap allows; n is unbounded, so the cache is not."""
+    cartan = 2 * np.eye(n, dtype=np.int64) - np.eye(n, k=1, dtype=np.int64) - np.eye(n, k=-1, dtype=np.int64)
+    return np.array(_positive_roots(cartan), dtype=np.complex128)
+
+
 def verify_correspondence(p: PointConfiguration, rel_tol: float = 1e-9) -> CorrespondenceReport:
     """Check the geometric quantities against the induced type-A charge.
 
@@ -194,7 +204,9 @@ def verify_correspondence(p: PointConfiguration, rel_tol: float = 1e-9) -> Corre
     times the root-sum volume, and the squared systole must stay below
     (n+1)/n times the volume.
     """
-    moduli, vol = _moduli_and_volume(build_root_system(AdeType("A", p.n)), induced_charge(p))
+    z = induced_charge(p)
+    moduli = np.abs(_segment_classes(p.n) @ z)
+    vol = _in_range(float(moduli @ moduli) / (p.n + 1), z)
     sys_geo = geometric_systole(p)
     sys_cat = math.pi * float(moduli.min())
     vol_geo = geometric_volume(p)

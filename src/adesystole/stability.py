@@ -53,11 +53,16 @@ def _nonzero_charge(rs: RootSystem, Z) -> np.ndarray:
     return z
 
 
-def _in_range(vol: float, z: np.ndarray) -> float:
+def _in_range(vol: float, z: np.ndarray, sys_upper: float | None = None) -> float:
     """The volume of z, unless it is not finite or, for z != 0, below the
-    normal float range; sys_upper^2 <= h vol is then finite too."""
+    normal float range; sys_upper^2 <= h vol is then finite too.  Given
+    z's upper systole, its square must not fall below that range either."""
     if not vol < np.inf or (vol < _NORMAL_MIN and z.any()):
         raise ValueError(f"charge is out of float range: its volume evaluates to {vol!r}")
+    if sys_upper is not None and sys_upper * sys_upper < _NORMAL_MIN:
+        raise ValueError(
+            f"charge is out of float range: its systole squared evaluates to {sys_upper * sys_upper!r}"
+        )
     return vol
 
 

@@ -555,6 +555,17 @@ def test_equivariance_rejects_bad_inputs():
         verify_action_equivariance(A2, [1e-200j, 1j], 0)
 
 
+def test_equivariance_charges_out_of_float_range_are_bad_input():
+    # sys^2 overflows or underflows: bad input, a ValueError, not an ArithmeticError.
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="volume evaluates to inf"):
+        verify_action_equivariance(A2, [1e200j, 1e200j], 0)
+    with pytest.raises(ValueError, match="systole squared evaluates to 0.0"):
+        verify_action_equivariance(A2, [1e-200j, 1j], 0)
+    # In range, but rescaled by exp(pi * 100) ~ 1e136 out of it.
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="zeta = 100j"):
+        verify_action_equivariance(A2, [1e100j, 1e100j], 100j)
+
+
 @pytest.mark.parametrize("zeta", [300j, -300j, 200j, -200j, complex("nan+1j"), complex(0, math.inf)])
 def test_equivariance_rejects_zeta_out_of_range(zeta):
     # at |Im zeta| = 200 the rescaled charge is finite but its volume overflows

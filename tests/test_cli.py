@@ -3,8 +3,11 @@
 import hashlib
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -272,11 +275,34 @@ def test_tilt_graph_json_is_streamed(tmp_path):
     assert size > 80 * 2**20 and peak < size / 4
 
 
+def _reference_jsonable(value):
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, complex):
+        return cli.format_complex(value)
+    if isinstance(value, dict):
+        return {k: _reference_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_jsonable(v) for v in value]
+    return value
+
+
+def _reference_fmt17(value):
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, dict):
+        return {k: _reference_fmt17(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_reference_fmt17(v) for v in value]
+    return value
+
+
 def _reference_render_human(payload):
-    """render_human with two walks and a whole-list json.dumps, as its oracle."""
+    """render_human as it was with two tree walks, one for JSON data and one
+    for 17-digit floats, and a whole-list json.dumps, as its oracle."""
     lines = []
     for key, value in payload.items():
-        value = cli._fmt17(cli._jsonable(value))
+        value = _reference_fmt17(_reference_jsonable(value))
         if isinstance(value, (dict, list)):
             text = json.dumps(value)
             if len(text) > 100 and isinstance(value, list):
@@ -305,6 +331,7 @@ def test_render_human_matches_reference():
     }
     assert len(json.dumps(["a" * 96])) == 100
     assert cli.render_human(payload) == _reference_render_human(payload)
+    assert cli._jsonable(payload) == _reference_jsonable(payload)
 
 
 def test_milnor_with_correspondence(capsys):
@@ -359,6 +386,17 @@ def test_correspond_with_polynomial_whose_value_overflows_at_a_root(capsys):
     assert code == 0
     assert payload["passed"] is True
     assert payload["systole_geometric"] == pytest.approx(math.pi * 1e150)
+
+
+@pytest.mark.parametrize("count", [34, 40])
+def test_correspondence_past_the_public_type_a_rank_cap(capsys, count):
+    # n + 1 points give a rank-n charge; n = 33 and 39 are past AdeType's cap of 32.
+    angles = (2 * math.pi * k / count for k in range(count))
+    points = cli.format_charge(complex(math.cos(a), math.sin(a)) for a in angles)
+    code, payload = run_json(capsys, "correspond", "--points", points)
+    assert (code, payload["n"], payload["passed"]) == (0, count - 1, True)
+    code, payload = run_json(capsys, "milnor", "--points", points, "--correspond")
+    assert (code, payload["correspondence"]["n"], payload["correspondence"]["passed"]) == (0, count - 1, True)
 
 
 def test_milnor_flags_collinear(capsys):
@@ -432,6 +470,27 @@ def test_property_violation_exits_two(capsys, monkeypatch):
         capsys, "volume", "--family", "A", "--rank", "2", "--charge", "0+1i,0+1i"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("roots", "--family", "D", "--rank", "32"),  # 105 KiB, built whole
+        ("sample", "--family", "A", "--rank", "2", "--count", "5000", "--output", "csv"),  # 425 KiB, streamed
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_pipe_ends_quietly_with_status_zero(argv):
+    # The reader takes one line and closes the pipe, as `| head -1` does; the
+    # report is larger than a pipe's buffer, so the writer meets the closed pipe.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    with subprocess.Popen(
+        [sys.executable, "-m", "adesystole.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        assert (code, proc.stderr.read()) == (0, b"")
 
 
 # == Config files ============================================================

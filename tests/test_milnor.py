@@ -306,6 +306,17 @@ def test_poly_polish_keeps_roots_whose_value_overflows():
     assert report.passed
 
 
+@pytest.mark.parametrize("count", [34, 40])
+def test_correspondence_past_the_public_type_a_rank_cap(count):
+    # The regular count-gon on the unit circle: its shortest segment is
+    # 2 sin(pi / count), and its squared distances sum to count^2.
+    points = np.exp(2j * np.pi * np.arange(count) / count)
+    report = verify_correspondence(validate_configuration(points))
+    assert report.n == count - 1 and report.passed
+    assert report.systole_categorical == pytest.approx(2 * math.pi * math.sin(math.pi / count), rel=1e-12)
+    assert report.volume_categorical == pytest.approx(math.pi**2 * count, rel=1e-12)
+
+
 # == Reference polynomial roots and correspondence ===========================
 # points_from_coefficients and verify_correspondence as they were when the
 # roots came from np.roots, the polish from four np.polyval calls, and the
