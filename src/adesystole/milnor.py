@@ -24,6 +24,11 @@ from adesystole.stability import _NORMAL_MIN, _in_range
 DISTINCT_REL_TOL = 1e-12
 AREA_REL_TOL = 1e-9
 
+# The triangle check visits n^3/6 triples in Python and the segment-class
+# matrix holds n^3/2 complex entries: 256 points take seconds and about
+# 0.2 GB, and a thousand would exhaust memory.
+MAX_POINTS = 256
+
 
 @dataclass(frozen=True)
 class PointConfiguration:
@@ -61,7 +66,8 @@ class PointConfiguration:
 def validate_configuration(raw_points, ordering=None) -> PointConfiguration:
     """Center, deduplicate-check, and label a raw list of points.
 
-    Every point must be finite; the centroid is subtracted on construction.
+    At most MAX_POINTS points are taken, and every point must be finite;
+    the centroid is subtracted on construction.
     The sum of the squared distances over all pairs of points, which is
     n+1 times the sum of the centered points' squared moduli, must be a
     normal float with a factor 2 to spare for round-off: every squared
@@ -73,6 +79,8 @@ def validate_configuration(raw_points, ordering=None) -> PointConfiguration:
     override it.
     """
     pts = [complex(p) for p in raw_points]
+    if len(pts) > MAX_POINTS:
+        raise ValueError(f"at most {MAX_POINTS} points are supported, got {len(pts)}")
     for k, p in enumerate(pts, 1):
         if not cmath.isfinite(p):
             raise ValueError(f"point {k} is not finite: {p}")
@@ -234,10 +242,15 @@ def points_from_coefficients(coeffs) -> list[complex]:
     many roots at 0; eigvals is most of a call's cost.  Two Newton steps,
     p and p' from one Horner loop, polish them where both are finite and
     p' is nonzero, so a root whose p overflows keeps its eigenvalue.
+    More than MAX_POINTS - 1 coefficients are rejected before any of it.
     """
     a = [complex(c) for c in coeffs]
     if not a:
         raise ValueError("need at least one coefficient")
+    if len(a) >= MAX_POINTS:
+        raise ValueError(
+            f"at most {MAX_POINTS - 1} coefficients ({MAX_POINTS} points) are supported, got {len(a)}"
+        )
     for k, c in enumerate(a, 1):
         if not cmath.isfinite(c):
             raise ValueError(f"coefficient {k} is not finite: {c}")

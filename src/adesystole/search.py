@@ -51,9 +51,13 @@ _HISTOGRAM_BINS = 32
 # in cache.
 _BLOCK_BYTES = 1 << 20
 
-# Row minima over at most this many columns are taken column by column:
-# numpy's per-row reduction costs more than the work on so short a row.
-_NARROW_COLUMNS = 8
+# Row reductions over at most this many columns are taken column by
+# column: numpy's per-row reduction costs more than the work on so short a
+# row.  A minimum is exact in any order; numpy's pairwise sum adds fewer
+# than 8 elements one by one, so a sum over at most 7 columns, taken in
+# order, has the bits of sum(axis=1).
+_NARROW_MIN = 8
+_NARROW_SUM = 7
 
 # About 40 B per sample are held (see the module docstring); 10**8 samples
 # take about 4 GB.  The optimizer holds 32 B per restart, under the same cap.
@@ -157,14 +161,15 @@ def _draw(streams, rows: int, rank: int) -> np.ndarray:
     return 10.0**log_r * np.exp(1j * np.pi * phase)
 
 
-def _row_min(moduli: np.ndarray, out: np.ndarray) -> None:
-    """Row minima of `moduli` into `out`; min is exact in any order."""
-    if moduli.shape[1] > _NARROW_COLUMNS:
-        moduli.min(axis=1, out=out)
+def _row_reduce(op: np.ufunc, values: np.ndarray, out: np.ndarray, narrow: int) -> None:
+    """`op.reduce(values, axis=1)` into `out`, column by column in order
+    when `values` has at most `narrow` columns."""
+    if values.shape[1] > narrow:
+        op.reduce(values, axis=1, out=out)
         return
-    np.copyto(out, moduli[:, 0])
-    for col in range(1, moduli.shape[1]):
-        np.minimum(out, moduli[:, col], out=out)
+    np.copyto(out, values[:, 0])
+    for col in range(1, values.shape[1]):
+        op(out, values[:, col], out=out)
 
 
 def sample_ratios(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
@@ -189,10 +194,10 @@ def sample_ratios(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
             stop = count
         moduli = np.abs(_draw(streams, stop - start, n) @ roots_t)
         block = slice(start, stop)
-        _row_min(moduli, sys_lo[block])
-        _row_min(moduli[:, :n], sys_up[block])
+        _row_reduce(np.minimum, moduli, sys_lo[block], _NARROW_MIN)
+        _row_reduce(np.minimum, moduli[:, :n], sys_up[block], _NARROW_MIN)
         np.square(moduli, out=moduli)
-        moduli.sum(axis=1, out=vol[block])
+        _row_reduce(np.add, moduli, vol[block], _NARROW_SUM)
         start = stop
     vol /= rs.coxeter
     ratios = sys_up**2

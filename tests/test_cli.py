@@ -11,10 +11,14 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adesystole import actions, cli, roots
+from adesystole import actions, cli, roots, search
 
 
 def run_cli(capsys, *argv):
@@ -260,6 +264,150 @@ def test_csv_report_is_streamed(capsys, tmp_path):
     assert target.read_text(encoding="utf-8").count("\n") == count + 1
 
 
+# == CSV writer against the %-template =========================================
+# render_csv as it was before the digit kernel: one `%` template per chunk,
+# the index riding along as a float column.  The kernel must match it byte
+# for byte on every input, including the values it leaves to the template.
+
+def _reference_render_csv(result):
+    columns = (result.ratios, result.sys_upper, result.sys_lower, result.volumes)
+    count = len(result.ratios)
+    yield "index,ratio,sys_upper,sys_lower,volume"
+    for start in range(0, count, cli._CSV_ROWS):
+        stop = min(start + cli._CSV_ROWS, count)
+        block = np.column_stack((np.arange(start, stop, dtype=np.float64), *(c[start:stop] for c in columns)))
+        yield ("\n%d,%.17g,%.17g,%.17g,%.17g" * (stop - start)) % tuple(block.ravel().tolist())
+
+
+def _columns(*columns):
+    """A report whose four float columns are given; one column stands for all four."""
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    ratios, sys_upper, sys_lower, volumes = columns * (4 // len(columns))
+    return SimpleNamespace(ratios=ratios, sys_upper=sys_upper, sys_lower=sys_lower, volumes=volumes)
+
+
+def assert_csv_matches_reference(result):
+    got = "".join(cli.render_csv(result))
+    want = "".join(_reference_render_csv(result))
+    if got != want:
+        pairs = zip(got.split("\n"), want.split("\n"))
+        raise AssertionError(next((g, w) for g, w in pairs if g != w))
+
+
+def _neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    below, above = np.nextafter(values, 0.0), np.nextafter(values, np.inf)
+    return np.concatenate((np.nextafter(below, 0.0), below, values, above, np.nextafter(above, np.inf)))
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+def test_csv_writer_matches_template_on_finite_doubles(values):
+    assert_csv_matches_reference(_columns(values))
+    assert_csv_matches_reference(_columns(np.abs(values)))
+
+
+def test_csv_writer_matches_template_next_to_powers_of_ten():
+    # Just below a power of ten, log10 can round up to the exponent above.
+    assert_csv_matches_reference(_columns(_neighbours([10.0**k for k in range(-300, 301)])))
+    assert_csv_matches_reference(_columns(_neighbours([5 * 10.0**k for k in range(-300, 301)])))
+
+
+@pytest.mark.parametrize("direction", [-np.inf, np.inf])
+def test_csv_writer_survives_a_log10_one_ulp_off(monkeypatch, direction):
+    # With E one too high the product is below 10^16; one too low, it
+    # rounds to 10^17 or more.  Either row must go to the template.
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: np.nextafter(log10(x), direction))
+    values = _neighbours([10.0**k for k in range(-280, 281)])
+    assert_csv_matches_reference(_columns(np.concatenate((values, values * 3.0))))
+
+
+def test_csv_scaling_error_is_far_inside_the_tie_margin():
+    # prod + rem against x * 10^(16-E) in exact arithmetic: the margin that
+    # sends near-ties to the template rests on this error bound.
+    rng = np.random.default_rng(5)
+    x = np.abs(np.frombuffer(rng.bytes(8 * 4000), dtype=np.float64))
+    x = np.concatenate((x[(x >= 1e-280) & (x <= 1e280)], _neighbours([1e-280, 1e280, 1.0, 0.1, 1e16, 1e17])))
+    at, prod, rem = cli._scaled(cli._csv_tables(), x)
+    for value, e, p, r in zip(x.tolist(), (at - cli._EXP).tolist(), prod.tolist(), rem.tolist()):
+        exact = Fraction(value) * Fraction(10) ** (16 - e)
+        assert abs(Fraction(p) + Fraction(r) - exact) < Fraction(1, 10**14), value
+    assert cli._MARGIN > 1e-14
+
+
+def test_csv_writer_matches_template_on_ties_and_integers():
+    k = np.arange(20_000, dtype=np.float64)
+    assert_csv_matches_reference(_columns(k / 2 + 1e15))  # x * 10 is a tie for odd k
+    assert_csv_matches_reference(_columns(k / 4 + 2**50, k * 2 + 2**53, k + 1e16 - 1e4, k * 5 + 1e17))
+    assert_csv_matches_reference(_columns(k, k / 8, (k + 0.5) * 10.0**-4, k * 10.0**12))
+
+
+def test_csv_writer_matches_template_at_the_edges():
+    tiny, huge = 5e-324, np.finfo(np.float64).max
+    edges = _neighbours([1e-280, 1e280, 1e-300, 1e300, 1e16, 1e17, 1e-4, 1e-5, tiny * 2**20, huge / 2])
+    special = np.array([0.0, -0.0, tiny, 2.2250738585072014e-308, huge, -huge, np.inf, -np.inf, np.nan, -1.5])
+    values = np.concatenate((edges, special, -edges))
+    assert_csv_matches_reference(_columns(values))
+    # One awkward value in a row of ordinary ones, at every position.
+    for pos in range(4):
+        columns = [np.full(len(values), 0.25) for _ in range(4)]
+        columns[pos] = values
+        assert_csv_matches_reference(_columns(*columns))
+
+
+def test_csv_writer_matches_template_on_random_bits():
+    rng = np.random.default_rng(12)
+    bits = np.frombuffer(rng.bytes(8 * 200_000), dtype=np.float64)
+    assert_csv_matches_reference(_columns(np.abs(bits)))
+    assert_csv_matches_reference(_columns(*bits.reshape(4, -1)))
+
+
+@pytest.mark.parametrize("family, rank, seed", [("A", 2, 12), ("D", 16, 13), ("E", 8, 14)])
+def test_csv_writer_matches_template_on_samples(family, rank, seed):
+    rs = roots.build_root_system(roots.AdeType(family, rank))
+    result = search.sample_ratios(rs, search.SearchConfig(sample_count=100_000, seed=seed))
+    assert_csv_matches_reference(result)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, cli._CSV_BLOCK - 1, cli._CSV_BLOCK + 1, cli._CSV_ROWS + 1])
+def test_csv_writer_matches_template_at_block_edges(count):
+    rng = np.random.default_rng(count)
+    values = np.exp(rng.uniform(-40, 40, (4, count)))
+    values[:, ::97] = 0.0  # rows left to the template, spread over the blocks
+    assert_csv_matches_reference(_columns(*values))
+
+
+def _csv_buffers(rows):
+    words = np.tile(cli._csv_tables().template, (rows, 1))
+    return words, np.empty_like(words)
+
+
+def test_csv_index_digits_match_template():
+    # Rows past 10, 100, ..., 10^7 get one more index digit; render the
+    # rows around each boundary without rendering every row before it.
+    for power in range(1, 8):
+        start = 10**power - 3
+        values = np.full(6, 0.5)
+        text = cli._csv_block(cli._csv_tables(), start, np.column_stack([values] * 4), *_csv_buffers(6))
+        assert text == "".join(cli._CSV_ROW % (start + i, 0.5, 0.5, 0.5, 0.5) for i in range(6))
+
+
+def test_csv_tables_are_built_on_first_render_only():
+    code = (
+        "import sys\n"
+        "from adesystole import cli\n"
+        "assert cli._csv_tables.cache_info().currsize == 0\n"
+        "cli.main(['sample', '--family', 'A', '--rank', '2', '--count', '3', '--output', 'json'])\n"
+        "assert cli._csv_tables.cache_info().currsize == 0\n"
+        "cli.main(['sample', '--family', 'A', '--rank', '2', '--count', '3', '--output', 'csv'])\n"
+        "assert cli._csv_tables.cache_info().currsize == 1\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_tilt_graph_json_is_streamed(tmp_path):
     # Closed E6 is 86 MiB of JSON; the export holds one chunk of it at a time.
     target = tmp_path / "e6.json"
@@ -397,6 +545,17 @@ def test_correspondence_past_the_public_type_a_rank_cap(capsys, count):
     assert (code, payload["n"], payload["passed"]) == (0, count - 1, True)
     code, payload = run_json(capsys, "milnor", "--points", points, "--correspond")
     assert (code, payload["correspondence"]["n"], payload["correspondence"]["passed"]) == (0, count - 1, True)
+
+
+@pytest.mark.parametrize("command", [("correspond",), ("milnor", "--correspond")])
+def test_too_many_points_exit_one(capsys, command):
+    angles = [2 * math.pi * k / 257 for k in range(257)]  # one point past milnor.MAX_POINTS
+    points = cli.format_charge(complex(math.cos(a), math.sin(a)) for a in angles)
+    code, out, err = run_cli(capsys, *command, "--points", points)
+    assert (code, out, err) == (1, "", "error: at most 256 points are supported, got 257\n")
+    code, out, err = run_cli(capsys, *command, "--poly", ",".join(["1+0i"] * 256))
+    assert (code, out) == (1, "")
+    assert err == "error: at most 255 coefficients (256 points) are supported, got 256\n"
 
 
 def test_milnor_flags_collinear(capsys):

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from adesystole import milnor
 from adesystole.milnor import (
+    MAX_POINTS,
     CorrespondenceReport,
     geometric_systole,
     geometric_volume,
@@ -75,6 +77,31 @@ def test_points_at_extreme_in_range_scales_are_checked(scale):
     report = verify_correspondence(validate_configuration([scale, -scale, 1j * scale]))
     assert report.passed
     assert math.isfinite(report.volume_geometric) and report.volume_geometric > 0
+
+
+def test_too_many_points_rejected_before_quadratic_work():
+    # A million points would take hours in the pairwise and triangle checks.
+    with pytest.raises(ValueError, match=f"at most {MAX_POINTS} points are supported, got 1000000"):
+        validate_configuration(np.arange(1_000_000) * (1 + 1j))
+    with pytest.raises(ValueError, match=f"at most {MAX_POINTS} points are supported, got {MAX_POINTS + 1}"):
+        validate_configuration(np.exp(2j * np.pi * np.arange(MAX_POINTS + 1) / (MAX_POINTS + 1)))
+
+
+def test_point_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(milnor, "MAX_POINTS", 5)
+    assert validate_configuration(np.exp(2j * np.pi * np.arange(5) / 5)).n == 4
+    assert len(points_from_coefficients([0, 0, 0, 1])) == 5
+    with pytest.raises(ValueError, match="at most 5 points"):
+        validate_configuration(np.exp(2j * np.pi * np.arange(6) / 6))
+    with pytest.raises(ValueError, match=r"at most 4 coefficients \(5 points\) are supported, got 5"):
+        points_from_coefficients([0, 0, 0, 0, 1])
+
+
+def test_too_many_coefficients_rejected_before_the_companion_matrix():
+    # 10^5 coefficients would make a 10^5 x 10^5 companion matrix (160 GB).
+    with pytest.raises(ValueError, match=f"at most {MAX_POINTS - 1} coefficients"):
+        points_from_coefficients([1.0] * 100_000)
+    assert len(points_from_coefficients([0.0] * (MAX_POINTS - 2) + [1.0])) == MAX_POINTS
 
 
 def test_too_few_points_rejected():

@@ -193,6 +193,25 @@ def test_sample_memory_stays_per_block(family, rank, count):
     assert peak <= 48 * count + 4 * 2**20
 
 
+@pytest.mark.parametrize("columns", range(1, 8))
+def test_narrow_row_sums_have_the_bits_of_sum(columns):
+    # numpy's pairwise sum adds fewer than 8 elements one by one, so the
+    # column-by-column volume sum of A1, A2 and A3 blocks changes no bit.
+    rng = np.random.default_rng(columns)
+    values = (10.0 ** rng.uniform(-6, 6, (200_000, columns))) ** 2
+    out = np.empty(len(values))
+    search._row_reduce(np.add, values, out, search._NARROW_SUM)
+    assert out.tobytes() == values.sum(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("columns", range(1, 10))
+def test_row_minima_match_min(columns):
+    values = np.random.default_rng(columns).random((10_000, columns))
+    out = np.empty(len(values))
+    search._row_reduce(np.minimum, values, out, search._NARROW_MIN)
+    assert out.tobytes() == values.min(axis=1).tobytes()
+
+
 # == Optimizer ===============================================================
 
 def test_optimize_a1_attains_bound_everywhere():
