@@ -5,8 +5,8 @@ reflection twist at a vertex, which acts on class vectors as the simple
 reflection and on charges by precomposition.  Hearts are tracked only
 through the classes of their simples; a tilt at one simple replaces its
 class by the negative and corrects the others through the Cartan pairing.
-Iterating tilts from the standard heart and deduplicating hearts by their
-classes yields a finite exchange graph.
+Iterating tilts from the standard heart yields a finite exchange graph,
+the Cayley graph of the Weyl group.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ import cmath
 import json
 import math
 import numbers
-from collections import defaultdict
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import chain, count, cycle, islice, repeat
+from itertools import chain, cycle, repeat
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -317,39 +316,40 @@ def exchange_graph(rs: RootSystem, max_depth: int) -> ExchangeGraph:
     """Breadth-first tilt graph from the standard heart, one level at a time.
 
     Every node within max_depth tilts of the start is expanded at each of
-    its n positions in order; forward and backward tilts share one class
-    map, so each position yields one target and two labelled edges.  A
-    level is one (f, n, n) int8 array that `_tilt` maps at each position
-    in one call, and nodes are keyed by their int8 bytes.  Tilting twice at
-    one position gives back the heart, so every edge joins levels at most
-    one apart, and a target is looked up only among the keys of the
-    previous, current and next levels.  Node numbering is deterministic:
-    source-major, position-minor.  Nodes first reached at depth max_depth
-    are kept but not expanded; `complete` is False in that case.
+    its n positions, and new nodes are numbered source-major, position-minor.
+    Nodes first reached at depth max_depth are kept but not expanded;
+    `complete` is False in that case.
+
+    The graph is the Cayley graph of the Weyl group for the simple
+    reflections (Brav-Thomas, Math. Ann. 2011).  Every reached heart M
+    pairs its simples by C, so the tilt at k is T_k = I - c_k e_k^T.  The
+    heights M @ 1 = w(rho) of the simples are distinct, at most h - 1 in
+    absolute value, and key a node in n int8 bytes.  As l(ws) = l(w) +- 1,
+    a target is either in the previous level or new.
     """
     if isinstance(max_depth, bool) or not isinstance(max_depth, numbers.Integral):
         raise ValueError(f"max_depth must be an integer, got {max_depth!r}")
     if max_depth < 1:
         raise ValueError(f"max_depth must be at least 1, got {max_depth}")
-    n = rs.rank
+    n, key = rs.rank, f"V{rs.rank}"
     cartan = rs.cartan_array.astype(np.int8)
     level = np.eye(n, dtype=np.int8)[None]
-    # Keys of the previous and current levels by node number, from `first`;
-    # the first `previous` of them are the previous level's.
-    known, first, previous = defaultdict(None, {level.tobytes(): 0}), 0, 0
-    levels, targets = [level], []
-    for _ in range(max_depth):
-        if not len(level):
-            break
-        images = np.stack([_tilt(cartan, level, k) for k in range(n)], axis=1)
-        seen = len(known)
-        known.default_factory = count(first + seen).__next__
-        keys = _row_bytes(images, n * n)
-        targets.append(np.fromiter(map(known.__getitem__, keys), np.int32, len(keys)).reshape(-1, n))
-        level = np.frombuffer(b"".join(islice(known, seen, None)), dtype=np.int8).reshape(-1, n, n)
+    previous, start, levels, targets = np.empty(0, key), 0, [level], []  # previous level's keys, first node
+    while len(level) and len(levels) <= max_depth:
+        heights = level.sum(axis=2, dtype=np.int8)
+        # Row n * f + k holds the heights of T_k applied to node f; all within 2(h - 1) <= 122.
+        images = (heights[:, None, :] - heights[:, :, None] * cartan).reshape(-1, n)
+        keys, seen = np.concatenate((previous, images.view(key).ravel())), len(previous)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        new = np.argsort(first)[seen:]  # the previous level's distinct keys come first
+        ids = start + first
+        ids[new] = start + seen + len(level) + np.arange(len(new))
+        targets.append(ids[inverse[seen:]].astype(np.int32).reshape(-1, n))
+        # Each new node is T_k applied to its first-seen source.
+        src, pos = np.divmod(first[new] - seen, n)
+        level = level[src] - cartan[pos][:, :, None] * level[src, pos][:, None, :]
+        previous, start = heights.view(key).ravel(), start + seen
         levels.append(level)
-        known = defaultdict(None, islice(known.items(), previous, None))
-        first, previous = first + previous, seen - previous
     return ExchangeGraph._from_arrays(
         n, np.concatenate(levels), np.concatenate(targets), max_depth, complete=not len(level)
     )

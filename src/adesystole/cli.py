@@ -540,7 +540,7 @@ _SAMPLE = (_SEED, ("--count", {"type": int}))
 _OPTIMIZE = (_SEED, ("--restarts", {"type": int}))
 _DEPTH_HELP = (
     "default 4; a closed graph has one node per Weyl group element: (n+1)! for A_n, "
-    "2^(n-1)*n! for D_n, 51,840 for E6, 2,903,040 for E7 (depth 64, about 0.6 GB); "
+    "2^(n-1)*n! for D_n, 51,840 for E6, 2,903,040 for E7 (depth 64, about 11 s and 0.5 GB); "
     "E8 (696,729,600) is out of reach; json and dot output is streamed, human output is not"
 )
 _POINTS = (

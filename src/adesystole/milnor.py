@@ -14,11 +14,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from adesystole.roots import _positive_roots
 from adesystole.stability import _NORMAL_MIN, _in_range
 
 DISTINCT_REL_TOL = 1e-12
@@ -193,14 +192,15 @@ class CorrespondenceReport:
         return {**fields, "passed": self.passed}
 
 
-@lru_cache(maxsize=32)
 def _segment_classes(n: int) -> np.ndarray:
-    """The positive roots of A_n, the segment classes, as complex rows in
-    `build_root_system`'s order.  They are raised from the Cartan matrix
-    here because a configuration may have more points than AdeType's rank
-    cap allows; n is unbounded, so the cache is not."""
-    cartan = 2 * np.eye(n, dtype=np.int64) - np.eye(n, k=1, dtype=np.int64) - np.eye(n, k=-1, dtype=np.int64)
-    return np.array(_positive_roots(cartan), dtype=np.complex128)
+    """The segment classes e_i + ... + e_j, the positive roots of A_n for any
+    n, as complex rows in `build_root_system`'s (height, tuple) order: grid
+    cell (a, b) is the segment of length a + 1 that ends at n - 1 - b."""
+    column = np.arange(n)
+    last = n - 1 - column
+    first = last - column[:, None]
+    rows = (first[:, :, None] <= column) & (column <= last[:, None])
+    return rows[first >= 0].astype(np.complex128)
 
 
 def verify_correspondence(p: PointConfiguration, rel_tol: float = 1e-9) -> CorrespondenceReport:

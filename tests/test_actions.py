@@ -327,6 +327,25 @@ def test_shallow_graph_matches_reference_search(ade):
         assert_graph_matches_reference(rs, depth)
 
 
+def poincare(degrees):
+    """Coefficients of prod_i (1 + q + ... + q^(d_i - 1)) over the degrees
+    d_i of W: the number of Weyl group elements of each length
+    (Humphreys, Reflection Groups and Coxeter Groups, Ch. 3)."""
+    coeffs = np.array([1])
+    for d in degrees:
+        coeffs = np.convolve(coeffs, np.ones(d, dtype=int))
+    return coeffs.tolist()
+
+
+def weyl_degrees(ade):
+    n = ade.rank
+    if ade.family == "A":
+        return range(2, n + 2)
+    if ade.family == "D":
+        return [*range(2, 2 * n - 1, 2), n]
+    return {"E6": (2, 5, 6, 8, 9, 12)}[str(ade)]
+
+
 def mahonian(n):
     """Coefficients of prod_{k=1..n} (1 + q + ... + q^k): the number of
     elements of S_{n+1} of each length."""
@@ -340,7 +359,27 @@ def mahonian(n):
 def test_closed_type_a_level_widths_are_mahonian(n):
     rs = build_root_system(AdeType("A", n))
     graph = exchange_graph(rs, closing_depth(rs))
-    assert np.diff(graph.levels).tolist() == mahonian(n)
+    assert np.diff(graph.levels).tolist() == mahonian(n) == poincare(weyl_degrees(rs.ade))
+
+
+@pytest.mark.parametrize("ade", SMALL_TYPES + [AdeType("A", 6)], ids=str)
+def test_closed_level_widths_are_poincare_coefficients(ade):
+    rs = build_root_system(ade)
+    graph = exchange_graph(rs, closing_depth(rs))
+    assert np.diff(graph.levels).tolist() == poincare(weyl_degrees(ade))
+
+
+@pytest.mark.parametrize("rs", [A5, D5, E6], ids=["A5", "D5", "E6"])
+def test_closed_graph_nodes_are_weyl_group_elements(rs):
+    # exchange_graph relies on both facts: every node pairs its simples by
+    # C, so a tilt is the fixed map T_k, and the heights of the simples,
+    # w(rho) in weight coordinates, tell the nodes apart in n int8 bytes.
+    graph = exchange_graph(rs, closing_depth(rs))
+    stack = graph.stack.astype(np.int64)
+    assert (np.einsum("fij,jk,flk->fil", stack, rs.cartan_array, stack) == rs.cartan_array).all()
+    heights = stack.sum(axis=2)
+    assert len(np.unique(heights, axis=0)) == len(stack)
+    assert np.abs(heights).max() <= rs.coxeter - 1
 
 
 @pytest.mark.parametrize("ade", SMALL_TYPES[5:], ids=str)

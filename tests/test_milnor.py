@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from adesystole.milnor import (
     validate_configuration,
     verify_correspondence,
 )
-from adesystole.roots import AdeType, build_root_system
+from adesystole.roots import AdeType, _positive_roots, build_root_system
 from adesystole.stability import evaluate_charge
 from test_stability import outcome, reference_systole_lower, reference_volume_roots
 
@@ -342,6 +343,36 @@ def test_correspondence_past_the_public_type_a_rank_cap(count):
     assert report.n == count - 1 and report.passed
     assert report.systole_categorical == pytest.approx(2 * math.pi * math.sin(math.pi / count), rel=1e-12)
     assert report.volume_categorical == pytest.approx(math.pi**2 * count, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_segment_classes_are_the_type_a_roots(n):
+    expected = build_root_system(AdeType("A", n)).complex_root_matrix
+    obtained = milnor._segment_classes(n)
+    assert obtained.dtype == expected.dtype and np.array_equal(obtained, expected)
+
+
+@pytest.mark.parametrize("n", [33, 40, 64])
+def test_segment_classes_past_the_rank_cap_are_raised_roots(n):
+    cartan = 2 * np.eye(n, dtype=int) - np.eye(n, k=1, dtype=int) - np.eye(n, k=-1, dtype=int)
+    expected = np.array(_positive_roots(cartan), dtype=np.complex128)
+    assert np.array_equal(milnor._segment_classes(n), expected)
+
+
+def test_correspondence_keeps_no_segment_matrix():
+    # Each call lays out 200 * 201 / 2 rows of 200 complex entries (64 MB);
+    # none of it may outlive the call.  The segment lengths are cached on the
+    # configuration, so they are built first.
+    config = validate_configuration(np.exp(2j * np.pi * np.arange(201) / 201))
+    assert config.segments.n == 200
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert verify_correspondence(config).passed and verify_correspondence(config).passed
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1e6, kept
 
 
 # == Reference polynomial roots and correspondence ===========================

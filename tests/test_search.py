@@ -1,5 +1,6 @@
 """Sampling and optimizer tests: determinism, bound safety, sharpness."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from adesystole import cli, search
 from adesystole.roots import AdeType, build_root_system
 from adesystole.search import SearchConfig, optimize_ratio, sample_ratios, _draw, _streams
-from adesystole.stability import heart_membership, systole_upper, volume_roots
+from adesystole.stability import check_inequality, heart_membership, systole_upper, volume_roots
 
 A1 = build_root_system(AdeType("A", 1))
 A2 = build_root_system(AdeType("A", 2))
@@ -446,3 +447,37 @@ def test_trial_ratio_bound_covers_adversarial_trials(ade):
                         )
                         near_ties += bound <= exact * (1 + 1e-9)
     assert near_ties > 0  # the trials above do probe the rounding margin
+
+
+# == Spectral bound ==========================================================
+# vol = z* C^-1 z >= |z|^2 / lambda_max(C) >= n min|z_i|^2 / lambda_max(C), so
+# every ratio sys_upper^2 / vol is at most lambda_max(C) / n.  As h - 1 is an
+# exponent, lambda_max(C) = 2 + 2 cos(pi / h) (Bourbaki, Lie Groups and Lie
+# Algebras, Ch. V, §6).  The bound is h / n at A1 and A2, where A1 attains
+# it, and up to 15 times below h / n past them.
+
+def largest_cartan_eigenvalue(rs):
+    return 2 + 2 * math.cos(math.pi / rs.coxeter)
+
+
+@pytest.mark.parametrize("ade", ALL_TYPES, ids=str)
+def test_largest_cartan_eigenvalue_closed_form(ade):
+    rs = build_root_system(ade)
+    eigenvalue = np.linalg.eigvalsh(rs.cartan_array.astype(float))[-1]
+    assert abs(eigenvalue - largest_cartan_eigenvalue(rs)) <= 1e-12
+
+
+@pytest.mark.parametrize("ade", ALL_TYPES, ids=str)
+def test_every_ratio_within_the_spectral_bound(ade):
+    rs = build_root_system(ade)
+    bound = largest_cartan_eigenvalue(rs) / rs.rank
+    limit = bound * (1 + 1e-12)
+    rng = np.random.default_rng(rs.rank)
+    for _ in range(20):
+        z = rng.standard_normal(rs.rank) + 1j * rng.standard_normal(rs.rank)
+        assert check_inequality(rs, z).ratio_upper <= limit
+    assert sample_ratios(rs, SearchConfig(sample_count=1000, seed=0)).ratios.max() <= limit
+    optimized = optimize_ratio(rs, SearchConfig(restarts=1, seed=0, max_iters=50))
+    assert optimized.best_ratio <= limit
+    if str(ade) == "A1":
+        assert optimized.best_ratio == pytest.approx(bound, rel=1e-12)
