@@ -15,9 +15,11 @@ import cmath
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
+from adesystole.roots import MAX_RANK_AD, AdeType, build_root_system
 from adesystole.stability import _NORMAL_MIN, _in_range
 
 DISTINCT_REL_TOL = 1e-12
@@ -55,11 +57,8 @@ class PointConfiguration:
         """All pairwise distances, indexed so that l_ij joins points i and j+1;
         built once and shared by the geometric systole and volume."""
         zeta = self.labeled
-        n = self.n
-        entries = tuple(
-            (i, j, abs(zeta[j] - zeta[i - 1])) for i in range(1, n + 1) for j in range(i, n + 1)
-        )
-        return SegmentLengths(n=n, entries=entries)
+        entries = tuple((i, j, abs(b - a)) for i, a in enumerate(zeta, 1) for j, b in enumerate(zeta[i:], i))
+        return SegmentLengths(n=self.n, entries=entries)
 
 
 def validate_configuration(raw_points, ordering=None) -> PointConfiguration:
@@ -95,10 +94,12 @@ def validate_configuration(raw_points, ordering=None) -> PointConfiguration:
         raise ValueError(
             f"points are out of float range: their sum of squared distances evaluates to {size!r}"
         )
-    for k in range(len(pts)):
-        for l in range(k + 1, len(pts)):
-            if abs(pts[k] - pts[l]) <= DISTINCT_REL_TOL * scale:
-                raise ValueError(f"points must be pairwise distinct (pair {k + 1}, {l + 1})")
+    tol = DISTINCT_REL_TOL * scale
+    spokes = [[q - p for q in pts[k + 1 :]] for k, p in enumerate(pts)]  # pts[l] - pts[k], l > k
+    for k, spoke in enumerate(spokes, 1):
+        for l, d in enumerate(spoke, k + 1):
+            if abs(d) <= tol:
+                raise ValueError(f"points must be pairwise distinct (pair {k}, {l})")
     if ordering is None:
         order = tuple(sorted(range(len(pts)), key=lambda k: (pts[k].real, pts[k].imag)))
     else:
@@ -108,11 +109,11 @@ def validate_configuration(raw_points, ordering=None) -> PointConfiguration:
                 raise ValueError(f"ordering entry {k} must be an integer, got {entry!r}")
         if sorted(order) != list(range(len(pts))):
             raise ValueError(f"ordering must be a permutation of 0..{len(pts) - 1}")
+    floor = AREA_REL_TOL * scale**2
     general = all(  # every triangle a, b, c has a nonzero area
-        abs(((pts[b] - pts[a]) * (pts[c] - pts[a]).conjugate()).imag) / 2.0 > AREA_REL_TOL * scale**2
-        for a in range(len(pts))
-        for b in range(a + 1, len(pts))
-        for c in range(b + 1, len(pts))
+        abs((d * e.conjugate()).imag) / 2.0 > floor
+        for spoke in spokes
+        for d, e in combinations(spoke, 2)
     )
     return PointConfiguration(points=tuple(pts), ordering=tuple(map(int, order)), general_position=general)
 
@@ -195,7 +196,9 @@ class CorrespondenceReport:
 def _segment_classes(n: int) -> np.ndarray:
     """The segment classes e_i + ... + e_j, the positive roots of A_n for any
     n, as complex rows in `build_root_system`'s (height, tuple) order: grid
-    cell (a, b) is the segment of length a + 1 that ends at n - 1 - b."""
+    cell (a, b) is the segment of length a + 1 that ends at n - 1 - b.
+    `verify_correspondence` lays them out only past A32, the last type
+    with a root system, whose cached root matrix it takes up to there."""
     column = np.arange(n)
     last = n - 1 - column
     first = last - column[:, None]
@@ -213,10 +216,12 @@ def verify_correspondence(p: PointConfiguration, rel_tol: float = 1e-9) -> Corre
     (n+1)/n times the volume.
     """
     z = induced_charge(p)
-    moduli = np.abs(_segment_classes(p.n) @ z)
+    n = p.n
+    classes = build_root_system(AdeType("A", n)).complex_root_matrix if n <= MAX_RANK_AD else _segment_classes(n)
+    moduli = np.abs(classes @ z)
     vol = _in_range(float(moduli @ moduli) / (p.n + 1), z)
     sys_geo = geometric_systole(p)
-    sys_cat = math.pi * float(moduli.min())
+    sys_cat = math.pi * float(np.minimum.reduce(moduli))
     vol_geo = geometric_volume(p)
     vol_cat = math.pi**2 * vol
     return CorrespondenceReport(
@@ -239,9 +244,10 @@ def points_from_coefficients(coeffs) -> list[complex]:
     The z^n coefficient is identically zero (centered polynomials), so the
     roots have centroid zero.  As in np.roots, they are the eigenvalues of
     the companion matrix without the zero trailing coefficients, then as
-    many roots at 0; eigvals is most of a call's cost.  Two Newton steps,
-    p and p' from one Horner loop, polish them where both are finite and
-    p' is nonzero, so a root whose p overflows keeps its eigenvalue.
+    many roots at 0.  Two Newton steps, p and p' from one Horner loop,
+    polish them where both are finite and p' is nonzero, so a root whose p
+    overflows keeps its eigenvalue.  Up to n = 8 the polish costs more than
+    eigvals (15-80 us of a 90-200 us call on a 2-core Xeon VM, numpy 2.4).
     More than MAX_POINTS - 1 coefficients are rejected before any of it.
     """
     a = [complex(c) for c in coeffs]
@@ -261,14 +267,17 @@ def points_from_coefficients(coeffs) -> list[complex]:
         companion = np.eye(size - 1, k=-1, dtype=np.complex128)
         companion[0] = -poly[1:size] / poly[0]
         roots = np.concatenate((np.linalg.eigvals(companion), roots))
-    horner = np.zeros((len(poly), 2, 1), dtype=np.complex128)  # p, and p' after a 0
-    horner[:, 0, 0] = poly
-    horner[1:, 1, 0] = poly[:-1] * np.arange(len(poly) - 1, 0, -1)  # as np.polyder forms it
+    # p, and p' after a 0, with a column per root: a broadcast operand
+    # would cost numpy's elementwise calls about twice as much.
+    horner = np.zeros((len(poly), 2, len(roots)), dtype=np.complex128)
+    horner[:, 0] = poly[:, None]
+    horner[1:, 1] = (poly[:-1] * np.arange(len(poly) - 1, 0, -1))[:, None]  # as np.polyder forms it
     with np.errstate(all="ignore"):
         for _ in range(2):
-            values = np.zeros((2, len(roots)), dtype=np.complex128)
-            for c in horner:
-                values = values * roots + c
-            safe = np.isfinite(values).all(axis=0) & (values[1] != 0)
-            roots[safe] = roots[safe] - values[0, safe] / values[1, safe]
-    return [complex(r) for r in roots]
+            at = roots[None].repeat(2, axis=0)
+            values = horner[0]  # p = 1 and p' = 0, as after a step from 0
+            for c in horner[1:]:
+                values = values * at + c
+            safe = np.logical_and.reduce(np.isfinite(values)) & (values[1] != 0)
+            roots = np.where(safe, roots - values[0] / values[1], roots)
+    return roots.tolist()

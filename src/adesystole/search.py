@@ -232,7 +232,7 @@ def _entry(x: np.ndarray, rank: int, k: int) -> np.ndarray:
 def _ratio_parts(rs: RootSystem, z: np.ndarray) -> tuple[float, float, float]:
     """(ratio, sys_upper, volume) of a charge; a trial needs only the ratio."""
     vol = _volume(rs, _root_moduli(rs, z))
-    sys_up = float(np.abs(z).min())
+    sys_up = float(np.minimum.reduce(np.abs(z)))
     return sys_up**2 / vol, sys_up, vol
 
 

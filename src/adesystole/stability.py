@@ -7,7 +7,10 @@ Cartan matrix over the basis, and a Coxeter-normalized sum of |Z(M)|^2
 over the positive roots M.  The systole is bracketed: the minimum over
 the simples bounds it above, the minimum over all positive roots bounds
 it below.  A call checks its charge in one pass over `z.tolist()`; what
-is left of its cost is numpy's dispatch of R @ z, abs and the reductions.
+is left of its cost is numpy's dispatch of R @ z, abs and one ufunc
+reduction per minimum (`check_inequality` takes both of its minima from
+one `reduceat`).  The products stay `@`: `np.dot` is faster, but it names
+itself in the overflow warnings that an out-of-range charge raises.
 """
 
 from __future__ import annotations
@@ -111,14 +114,14 @@ def systole_upper(rs: RootSystem, Z) -> float:
     """Upper systole bound min_i |Z_i|; the simples are stable in every
     stability condition over the standard heart, so their smallest modulus
     dominates the systole there."""
-    return float(np.abs(_nonzero_charge(rs, Z)).min())
+    return float(np.minimum.reduce(np.abs(_nonzero_charge(rs, Z))))
 
 
 def systole_lower(rs: RootSystem, Z) -> float:
     """Lower systole bound min over all positive roots of |Z(M)|; every
     stable class is a positive root up to sign, so nothing stable can have
     smaller modulus."""
-    return float(_root_moduli(rs, _nonzero_charge(rs, Z)).min())
+    return float(np.minimum.reduce(_root_moduli(rs, _nonzero_charge(rs, Z))))
 
 
 def heart_membership(Z) -> bool:
@@ -171,10 +174,12 @@ def check_inequality(rs: RootSystem, Z) -> SystolicReport:
     moduli are |Z_i| (the positive roots begin with the simples), so the
     fields equal volume_roots, systole_upper and systole_lower exactly."""
     moduli, vol = _moduli_and_volume(rs, Z)
-    sys_up = float(moduli[: rs.rank].min())
+    # The minima over the simples and over the roots after them; A1 has no
+    # root after its simple, and cuts (0, 0) give its one modulus twice.
+    sys_up, rest = np.minimum.reduceat(moduli, (0, rs.rank % len(moduli))).tolist()
     bound = rs.bound
     return SystolicReport(
-        sys_lower=float(moduli.min()),
+        sys_lower=min(sys_up, rest),
         sys_upper=sys_up,
         volume=vol,
         ratio_upper=sys_up**2 / vol,

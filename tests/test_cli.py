@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adesystole import actions, cli, roots, search
+from adesystole import _csvdigits, actions, cli, roots, search
 
 
 def run_cli(capsys, *argv):
@@ -329,11 +329,11 @@ def test_csv_scaling_error_is_far_inside_the_tie_margin():
     rng = np.random.default_rng(5)
     x = np.abs(np.frombuffer(rng.bytes(8 * 4000), dtype=np.float64))
     x = np.concatenate((x[(x >= 1e-280) & (x <= 1e280)], _neighbours([1e-280, 1e280, 1.0, 0.1, 1e16, 1e17])))
-    at, prod, rem = cli._scaled(cli._csv_tables(), x)
-    for value, e, p, r in zip(x.tolist(), (at - cli._EXP).tolist(), prod.tolist(), rem.tolist()):
+    at, prod, rem = _csvdigits._scaled(_csvdigits._csv_tables(), x)
+    for value, e, p, r in zip(x.tolist(), (at - _csvdigits._EXP).tolist(), prod.tolist(), rem.tolist()):
         exact = Fraction(value) * Fraction(10) ** (16 - e)
         assert abs(Fraction(p) + Fraction(r) - exact) < Fraction(1, 10**14), value
-    assert cli._MARGIN > 1e-14
+    assert _csvdigits._MARGIN > 1e-14
 
 
 def test_csv_writer_matches_template_on_ties_and_integers():
@@ -379,7 +379,7 @@ def test_csv_writer_matches_template_at_block_edges(count):
 
 
 def _csv_buffers(rows):
-    words = np.tile(cli._csv_tables().template, (rows, 1))
+    words = np.tile(_csvdigits._csv_tables().template, (rows, 1))
     return words, np.empty_like(words)
 
 
@@ -389,19 +389,19 @@ def test_csv_index_digits_match_template():
     for power in range(1, 8):
         start = 10**power - 3
         values = np.full(6, 0.5)
-        text = cli._csv_block(cli._csv_tables(), start, np.column_stack([values] * 4), *_csv_buffers(6))
-        assert text == "".join(cli._CSV_ROW % (start + i, 0.5, 0.5, 0.5, 0.5) for i in range(6))
+        text = _csvdigits._csv_block(_csvdigits._csv_tables(), start, np.column_stack([values] * 4), *_csv_buffers(6))
+        assert text == "".join(_csvdigits._CSV_ROW % (start + i, 0.5, 0.5, 0.5, 0.5) for i in range(6))
 
 
 def test_csv_tables_are_built_on_first_render_only():
     code = (
         "import sys\n"
         "from adesystole import cli\n"
-        "assert cli._csv_tables.cache_info().currsize == 0\n"
         "cli.main(['sample', '--family', 'A', '--rank', '2', '--count', '3', '--output', 'json'])\n"
-        "assert cli._csv_tables.cache_info().currsize == 0\n"
+        "assert 'adesystole._csvdigits' not in sys.modules\n"
         "cli.main(['sample', '--family', 'A', '--rank', '2', '--count', '3', '--output', 'csv'])\n"
-        "assert cli._csv_tables.cache_info().currsize == 1\n"
+        "from adesystole import _csvdigits\n"
+        "assert _csvdigits._csv_tables.cache_info().currsize == 1\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)

@@ -9,6 +9,7 @@ import pytest
 
 from adesystole import milnor
 from adesystole.milnor import (
+    AREA_REL_TOL,
     MAX_POINTS,
     CorrespondenceReport,
     geometric_systole,
@@ -50,6 +51,44 @@ def test_cube_roots_are_general_position():
     config = validate_configuration(CUBE_ROOTS)
     assert config.general_position
     assert abs(sum(config.points)) < 1e-12
+
+
+def reference_general_position(pts):
+    """`validate_configuration`'s triangle test as it was written per
+    triple, on a configuration's centred points."""
+    scale = max(abs(p) for p in pts)
+    return all(
+        abs(((pts[b] - pts[a]) * (pts[c] - pts[a]).conjugate()).imag) / 2.0 > AREA_REL_TOL * scale**2
+        for a in range(len(pts))
+        for b in range(a + 1, len(pts))
+        for c in range(b + 1, len(pts))
+    )
+
+
+def general_position_cases(rng, n):
+    """n + 1 points: random, on a line, and on a parabola bent off that
+    line by 1e-3 to 1e-12 of the scale, so that the smallest triangle
+    crosses AREA_REL_TOL."""
+    yield rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    t = rng.permutation(n + 1) + rng.uniform(0.0, 0.5, n + 1)
+    direction = cmath.exp(2j * math.pi * rng.uniform())
+    shift = complex(*rng.standard_normal(2))
+    yield t * direction + shift
+    for exponent in range(3, 13):
+        for mantissa in (1.0, 3.0):
+            bend = mantissa * 10.0**-exponent * (t / (n + 1)) ** 2
+            yield (t + 1j * bend * (n + 1)) * direction + shift
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_general_position_matches_reference(n):
+    rng = np.random.default_rng(70_000 + n)
+    decisions = set()
+    for points in general_position_cases(rng, n):
+        config = validate_configuration(points)
+        assert config.general_position == reference_general_position(config.points), points
+        decisions.add(config.general_position)
+    assert decisions == ({True} if n == 1 else {True, False})
 
 
 def test_duplicate_points_rejected_with_pair():

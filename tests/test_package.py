@@ -89,7 +89,10 @@ COMMAND_MODULES = [
     (["roots", "--family", "A", "--rank", "3"], set()),
     (["inequality", "--family", "A", "--rank", "2", "--charge", "1i,1i"], set()),
     (["tilt-graph", "--family", "D", "--rank", "4", "--depth", "3", "--output", "json"], {"adesystole.actions"}),
-    (["sample", "--family", "A", "--rank", "2", "--count", "10", "--output", "csv"], {"adesystole.search"}),
+    (
+        ["sample", "--family", "A", "--rank", "2", "--count", "10", "--output", "csv"],
+        {"adesystole.search", "adesystole._csvdigits"},
+    ),
     (["optimize", "--family", "A", "--rank", "2", "--restarts", "2"], {"adesystole.search"}),
     (["milnor", "--points", "1+0i,-1+0i", "--correspond"], {"adesystole.milnor"}),
     (["correspond", "--poly", "0+0i,-1+0i"], {"adesystole.milnor"}),

@@ -1,5 +1,7 @@
 """Property tests (hypothesis) at ranks past the acceptance suite's <= 8."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from adesystole.roots import AdeType, _bareiss, build_root_system, count_positiv
 from adesystole.search import SearchConfig
 from adesystole.stability import (
     REL_TOL,
+    check_inequality,
     systole_lower,
     systole_upper,
     volume_basis,
@@ -105,6 +108,17 @@ def test_basis_and_root_volumes_agree(data):
     rs = build_root_system(data.draw(st.sampled_from(ALL_TYPES), label="type"))
     z = draw_heart_charge(data, rs.rank, decades=3.0)
     assert close(volume_basis(rs, z), volume_roots(rs, z))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_every_ratio_within_the_spectral_bound(data):
+    # sys_upper^2 / vol <= lambda_max(C) / n with lambda_max(C) = 2 + 2 cos(pi / h);
+    # see the spectral-bound section of test_search.py.
+    rs = build_root_system(data.draw(st.sampled_from(ALL_TYPES), label="type"))
+    z = draw_heart_charge(data, rs.rank, decades=3.0)
+    bound = (2 + 2 * math.cos(math.pi / rs.coxeter)) / rs.rank
+    assert check_inequality(rs, z).ratio_upper <= bound * (1 + 1e-12)
 
 
 @PROPERTY_SETTINGS
