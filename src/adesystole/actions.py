@@ -18,7 +18,7 @@ import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain, cycle, repeat
-from typing import Iterator, TextIO
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -144,6 +144,36 @@ def simple_tilt(rs: RootSystem, heart: HeartState, k: int, direction: str) -> He
 _CHUNK_NODES = 2048
 
 
+class _Format(NamedTuple):
+    """Templates of one export format.  Node i is `node` (% i if it has a %s)
+    and its classes: entries joined by `entry`, classes by `between`, then
+    `last`.  Edge i -> j at position k, direction d is `edge` % i, j, `tail` %
+    {"k": k, "d": labels[d]}.  The first node and edge drop `skip` characters."""
+
+    node: str
+    entry: str
+    between: str
+    last: str
+    edge: str
+    tail: str
+    labels: tuple[str, str] = (FORWARD, BACKWARD)
+    skip: tuple[int, int] = (0, 0)
+
+
+_JSON = _Format(
+    ",\n    [\n      [\n        ", ",\n        ", "\n      ],\n      [\n        ", "\n      ]\n    ]",
+    ',\n    {\n      "src": %s,\n      "dst": ',
+    ',\n      "position": %(k)d,\n      "direction": "%(d)s"\n    }',
+    skip=(1, 1),
+)
+_DOT = _Format('  n%s [label="', ",", ";", '"];\n', "  n%s -> n", ' [label="%(d)s:%(k)d"];\n', ("F", "B"))
+# `cli.render_human`'s lists: one item per line, or the nodes on one line.
+_HUMAN = _Format(
+    "\n  [[", ", ", "], [", "]]", '\n  {"src": %s, "dst": ', ', "position": %(k)d, "direction": "%(d)s"}'
+)
+_HUMAN_LINE = _HUMAN._replace(node=", [[", skip=(2, 0))
+
+
 class ExchangeGraph:
     """Class-level tilt graph, stored as arrays.
 
@@ -158,8 +188,8 @@ class ExchangeGraph:
 
     `nodes` (tuples of class tuples) and `edges` ((source, target,
     position, direction), source-major, position-minor, forward first) are
-    tuple views of the arrays, built on first access and kept; the exports
-    never build them.
+    tuple views of the arrays, built on first access and kept; the JSON,
+    DOT and human exports never build them.
     """
 
     def __init__(self, rank: int, nodes, edges, depth: int, complete: bool):
@@ -214,87 +244,58 @@ class ExchangeGraph:
         """`head`'s fields, then the adjacency, as json.dumps(..., indent=2)
         renders them, in chunks of at most `_CHUNK_NODES` nodes or sources."""
         fields = {**(head or {}), "rank": self.rank, "depth": self.depth, "complete": self.complete}
-        yield "{\n" + ",\n".join(
-            f"  {json.dumps(key)}: " + json.dumps(value, indent=2).replace("\n", "\n  ")
-            for key, value in fields.items()
-        )
-        # Every item is rendered after its separator; the first drops the comma.
-        n, ids = self.rank, _id_texts(len(self.stack))
-        rows = _RowTexts(lambda v: "      [\n" + ",\n".join(f"        {c}" for c in v) + "\n      ]")
-        seps = [",\n"] * (n - 1) + ["\n    ]"]
-        yield ',\n  "nodes": ['
-        for a, b in _chunks(len(self.stack)):
-            text = self._node_text(a, b, repeat(",\n    [\n", b - a), rows, seps)
-            yield text[1:] if a == 0 else text
-        yield '\n  ],\n  "edges": ['
-        tails = [
-            f',\n      "position": {k},\n      "direction": {json.dumps(d)}\n    }}'
-            for k in range(1, n + 1)
-            for d in (FORWARD, BACKWARD)
-        ]
-        for a, b in _chunks(len(self.targets)):
-            text = self._edge_text(a, b, ids, ',\n    {\n      "src": %s,\n      "dst": ', tails)
-            yield text[1:] if a == 0 else text
-        yield "\n  ]\n}" if len(self.targets) else "]\n}"
+        opening = json.dumps(fields, indent=2)[:-2]  # without the closing "\n}"
+        closing = "\n  ]\n}" if len(self.targets) else "]\n}"
+        return self._chunks(_JSON, opening, ',\n  "nodes": [', '\n  ],\n  "edges": [', closing)
 
     def dot_chunks(self) -> Iterator[str]:
         """The graph in DOT, in chunks of at most `_CHUNK_NODES` nodes or sources."""
-        n, ids = self.rank, _id_texts(len(self.stack))
-        rows = _RowTexts(lambda v: ",".join(map(str, v)))
-        seps = [";"] * (n - 1) + ['"];\n']
-        yield "digraph tilts {\n"
-        for a, b in _chunks(len(self.stack)):
-            yield self._node_text(a, b, map('  n%s [label="'.__mod__, ids[a:b]), rows, seps)
-        tails = [f' [label="{d}:{k}"];\n' for k in range(1, n + 1) for d in "FB"]
-        for a, b in _chunks(len(self.targets)):
-            yield self._edge_text(a, b, ids, "  n%s -> n", tails)
-        yield "}"
+        return self._chunks(_DOT, "digraph tilts {\n", "", "", "}")
 
-    def _node_text(self, a: int, b: int, heads, rows: _RowTexts, seps: list[str]) -> str:
-        """Nodes a..b-1, each as its head, then its n class texts each
-        followed by its separator in `seps`."""
-        classes = map(rows.__getitem__, _row_bytes(self.stack[a:b], self.rank))
-        cells = chain.from_iterable(zip(classes, cycle(seps)))
-        return "".join(chain.from_iterable(zip(heads, *[cells] * (2 * self.rank))))
+    def human_chunks(self, head: str = "") -> Iterator[str]:
+        """`head`'s lines, then the adjacency's as `cli.render_human` writes them,
+        in chunks.  A list over 100 characters takes one line per item; any 15
+        nodes or 2 edges are, so at most 15 nodes are rendered to decide."""
+        fields = f"rank: {self.rank}\ndepth: {self.depth}\ncomplete: {self.complete}"
+        opening = f"{head}\n{fields}" if head else fields
+        edges = "\nedges:" if len(self.targets) else "\nedges: []"
+        if len(self._node_text(_HUMAN_LINE, 0, min(15, len(self.stack)))) <= 100:
+            return self._chunks(_HUMAN_LINE, opening, "\nnodes: [", "]" + edges, "")
+        return self._chunks(_HUMAN, opening, "\nnodes:", edges, "")
 
-    def _edge_text(self, a: int, b: int, ids: list[str], head: str, tails: list[str]) -> str:
-        """The edges from sources a..b-1, each as `head` % its source, its
-        target's number and the tail of its (position, direction)."""
-        heads = chain.from_iterable(map(repeat, map(head.__mod__, ids[a:b]), repeat(len(tails))))
-        dsts = map(ids.__getitem__, np.repeat(self.targets[a:b].ravel(), 2).tolist())
-        return "".join(chain.from_iterable(zip(heads, dsts, cycle(tails))))
+    def _chunks(self, fmt: _Format, opening: str, nodes: str, edges: str, closing: str) -> Iterator[str]:
+        """The one writer: `opening`, `nodes` and the nodes in `fmt`, `edges` and the
+        edges, `closing`; a chunk holds at most `_CHUNK_NODES` nodes or sources."""
+        yield opening
+        yield nodes
+        for a in range(0, len(self.stack), _CHUNK_NODES):
+            text = self._node_text(fmt, a, min(a + _CHUNK_NODES, len(self.stack)))
+            yield text if a else text[fmt.skip[0] :]
+        yield edges
+        ids, n = list(map(str, range(len(self.stack)))), self.rank
+        tails = [fmt.tail % {"k": k, "d": d} for k in range(1, n + 1) for d in fmt.labels]
+        for a in range(0, len(self.targets), _CHUNK_NODES):
+            sources = map(fmt.edge.__mod__, ids[a : a + _CHUNK_NODES])
+            heads = chain.from_iterable(map(repeat, sources, repeat(2 * n)))
+            dsts = map(ids.__getitem__, np.repeat(self.targets[a : a + _CHUNK_NODES].ravel(), 2).tolist())
+            text = "".join(chain.from_iterable(zip(heads, dsts, cycle(tails))))
+            yield text if a else text[fmt.skip[1] :]
+        yield closing
 
-    def write_json(self, fp: TextIO, head: dict | None = None) -> None:
-        fp.writelines(self.json_chunks(head))
-
-    def write_dot(self, fp: TextIO) -> None:
-        fp.writelines(self.dot_chunks())
+    def _node_text(self, fmt: _Format, a: int, b: int) -> str:
+        """Nodes a..b-1 in `fmt`; each distinct class vector is rendered once."""
+        n, keys = self.rank, _row_bytes(self.stack[a:b], self.rank)
+        rows = {key: fmt.entry.join(map(str, np.frombuffer(key, np.int8).tolist())) for key in set(keys)}
+        heads = map(fmt.node.__mod__, range(a, b)) if "%s" in fmt.node else repeat(fmt.node, b - a)
+        seps = cycle([fmt.between] * (n - 1) + [fmt.last])
+        cells = chain.from_iterable(zip(map(rows.__getitem__, keys), seps))
+        return "".join(chain.from_iterable(zip(heads, *[cells] * (2 * n))))
 
     def to_json(self, head: dict | None = None) -> str:
         return "".join(self.json_chunks(head))
 
     def to_dot(self) -> str:
         return "".join(self.dot_chunks())
-
-
-class _RowTexts(dict):
-    """Text of each class vector, keyed by its int8 bytes, rendered on first use."""
-
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, key: bytes) -> str:
-        text = self[key] = self.render(np.frombuffer(key, dtype=np.int8).tolist())
-        return text
-
-
-def _id_texts(size: int) -> list[str]:
-    return list(map(str, range(size)))
-
-
-def _chunks(size: int) -> Iterator[tuple[int, int]]:
-    return ((a, min(a + _CHUNK_NODES, size)) for a in range(0, size, _CHUNK_NODES))
 
 
 def _level_offsets(targets: np.ndarray, size: int) -> tuple[int, ...]:

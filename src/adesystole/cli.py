@@ -286,8 +286,7 @@ def _search(args, rs: roots.RootSystem) -> Report:
 
 
 def _tilt_graph(args, rs: roots.RootSystem) -> Report:
-    """The graph is the source of every output mode; json and dot stream
-    its exports in chunks, and only human output builds its adjacency."""
+    """The graph is the source of every output mode, each streamed in chunks."""
     from adesystole import actions
 
     depth = args.depth if args.depth is not None else 4
@@ -369,7 +368,7 @@ _OPTIMIZE = (_SEED, ("--restarts", {"type": int}))
 _DEPTH_HELP = (
     "default 4; a closed graph has one node per Weyl group element: (n+1)! for A_n, "
     "2^(n-1)*n! for D_n, 51,840 for E6, 2,903,040 for E7 (depth 64, about 11 s and 0.5 GB); "
-    "E8 (696,729,600) is out of reach; json and dot output is streamed, human output is not"
+    "E8 (696,729,600) is out of reach; every output mode is streamed"
 )
 _POINTS = (
     ("--points", {"help": "comma-separated a+bi points"}),
@@ -389,7 +388,7 @@ COMMANDS = {
         "class-level tilt graph",
         options=(("--depth", {"type": int, "help": _DEPTH_HELP}),),
         outputs={
-            "human": lambda payload, graph: render_human({**payload, **graph.adjacency()}),
+            "human": lambda payload, graph: graph.human_chunks(render_human(payload)),
             "json": lambda payload, graph: graph.json_chunks(payload),
             "dot": lambda payload, graph: graph.dot_chunks(),
         },

@@ -1,7 +1,6 @@
 """Action-layer tests: charge rescaling, reflections, tilting, tilt graph."""
 
 import hashlib
-import io
 import json
 import math
 from itertools import cycle
@@ -27,6 +26,7 @@ from adesystole.actions import (
     validate_heart,
     verify_action_equivariance,
 )
+from adesystole.cli import render_human
 from adesystole.roots import AdeType, build_root_system, count_positive_roots
 from adesystole.stability import systole_upper, volume_roots
 
@@ -434,10 +434,6 @@ def test_writers_stream_the_exports():
     # Each chunk holds at most _CHUNK_NODES nodes, or the edges of as many sources.
     chunks, text = list(graph.json_chunks(head)), graph.to_json(head)
     assert len(chunks) == 10 and max(map(len, chunks)) < len(text) * _CHUNK_NODES / len(graph.stack)
-    as_json, as_dot = io.StringIO(), io.StringIO()
-    graph.write_json(as_json, head)
-    graph.write_dot(as_dot)
-    assert as_json.getvalue() == text and as_dot.getvalue() == graph.to_dot()
 
 
 def test_closed_d4_exports_are_pinned():
@@ -495,6 +491,43 @@ def _reference_to_dot(graph):
 def test_to_dot_matches_reference_rendering(ade, depth):
     graph = exchange_graph(build_root_system(ade), depth)
     assert graph.to_dot() == _reference_to_dot(graph)
+
+
+@pytest.mark.parametrize("ade,depth", _json_cases())
+def test_human_chunks_match_render_human_of_the_adjacency(ade, depth):
+    # The reference is human output as the CLI built it before it streamed:
+    # render_human over the whole adjacency, one dict per edge.
+    graph = exchange_graph(build_root_system(ade), depth)
+    head = {"schema_version": 1, "command": "tilt-graph", "inputs": {"family": ade.family, "depth": depth}}
+    text = "".join(graph.human_chunks(render_human(head)))
+    assert text == render_human({**head, **graph.adjacency()})
+    assert "".join(graph.human_chunks()) == render_human(graph.adjacency())
+
+
+def test_human_chunks_of_an_edgeless_graph():
+    graph = ExchangeGraph(rank=1, nodes=(((1,),),), edges=(), depth=1, complete=False)
+    text = "".join(graph.human_chunks("command: tilt-graph"))
+    assert text == render_human({"command": "tilt-graph", **graph.adjacency()})
+    assert text.endswith("\nnodes: [[[1]]]\nedges: []")
+
+
+@pytest.mark.parametrize("values,width", [([-100] * 10, 100), ([-100] * 2 + [100] * 9, 101)], ids=["100", "101"])
+def test_human_chunks_keep_the_100_character_line(values, width):
+    # A chain of rank-1 nodes whose node list is `width` characters on one line.
+    nodes = [((v,),) for v in values]
+    edges = [(i, i + 1, 1, d) for i in range(len(values) - 1) for d in (FORWARD, BACKWARD)]
+    graph = ExchangeGraph(1, nodes, edges, len(values), False)
+    assert len(json.dumps(graph.adjacency()["nodes"])) == width
+    assert "".join(graph.human_chunks()) == render_human(graph.adjacency())
+
+
+def test_human_chunks_decide_the_node_line_from_15_nodes(monkeypatch):
+    spans, render = [], ExchangeGraph._node_text
+    monkeypatch.setattr(ExchangeGraph, "_node_text", lambda g, fmt, a, b: spans.append(b - a) or render(g, fmt, a, b))
+    graph = exchange_graph(A5, closing_depth(A5))
+    chunks = graph.human_chunks()
+    assert spans == [15]  # decided before the first chunk, from 15 of the 720 nodes
+    assert "".join(chunks) == render_human(graph.adjacency())
 
 
 def test_to_json_head_and_empty_arrays_match_stdlib():

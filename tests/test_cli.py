@@ -423,6 +423,32 @@ def test_tilt_graph_json_is_streamed(tmp_path):
     assert size > 80 * 2**20 and peak < size / 4
 
 
+def test_tilt_graph_human_is_streamed(tmp_path):
+    # Closed E6 is 50.5 MB of human output, the default mode; like JSON and
+    # DOT it is written one chunk at a time.
+    target = tmp_path / "e6.txt"
+    argv = ["tilt-graph", "--family", "E", "--rank", "6", "--depth", "37"]
+    tracemalloc.start()
+    try:
+        code = cli.main([*argv, "--out-file", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    size = target.stat().st_size
+    assert size > 50 * 10**6 and peak < size / 4
+
+
+def test_closed_e6_human_output_is_pinned(tmp_path):
+    # sha256 of the report, captured through --out-file before human output
+    # was streamed, when it was render_human over the whole adjacency.
+    target = tmp_path / "e6.txt"
+    assert cli.main(["tilt-graph", "--family", "E", "--rank", "6", "--depth", "37", "--out-file", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "17463fd0396c606b0508962fd4174625a85dd36361474b3b00cf381960ecde6f"
+    )
+
+
 def _reference_jsonable(value):
     if isinstance(value, Fraction):
         return str(value)

@@ -232,6 +232,22 @@ def test_optimize_a2_reaches_near_supremum():
     assert volume_roots(A2, result.best_charge) == pytest.approx(1.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("rank", range(1, 6))
+def test_optimize_reaches_the_alternating_sign_ratio(rank):
+    # At the walls a sign vector e gives the ratio 1 / (e C^-1 e), a lower
+    # bound on the supremum; for A_n the alternating one gives h / floor(h^2 / 4).
+    # With 4 restarts every seed reaches it up to A5; from A6 on some seeds
+    # stall 33-49% short, so the ranks stop there.
+    rs = build_root_system(AdeType("A", rank))
+    signs = [(-1) ** i for i in range(rank)]
+    ratio = 1 / sum(signs[i] * rs.cartan_inv[i][j] * signs[j] for i in range(rank) for j in range(rank))
+    h = rs.coxeter
+    assert ratio == Fraction(h, h * h // 4)
+    for seed in range(10):
+        best = optimize_ratio(rs, SearchConfig(seed=seed, restarts=4)).best_ratio
+        assert best == pytest.approx(float(ratio), abs=1e-8), seed
+
+
 def test_optimize_is_deterministic():
     cfg = SearchConfig(seed=21, restarts=4)
     first = optimize_ratio(D4, cfg)
