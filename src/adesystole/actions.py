@@ -17,7 +17,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import chain, cycle, repeat
+from itertools import cycle
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -195,6 +195,8 @@ class ExchangeGraph:
     def __init__(self, rank: int, nodes, edges, depth: int, complete: bool):
         """A graph from tuples, numbered and listed as `exchange_graph` does."""
         nodes, edges = tuple(nodes), tuple(map(tuple, edges))
+        if not nodes:
+            raise ValueError("a graph holds at least its start node")
         stack = np.array(nodes, dtype=np.int8).reshape(len(nodes), rank, rank)
         targets = np.array([edge[1] for edge in edges[::2]], dtype=np.int32).reshape(-1, rank)
         self._store(rank, stack, targets, depth, complete)
@@ -272,13 +274,16 @@ class ExchangeGraph:
             text = self._node_text(fmt, a, min(a + _CHUNK_NODES, len(self.stack)))
             yield text if a else text[fmt.skip[0] :]
         yield edges
-        ids, n = list(map(str, range(len(self.stack)))), self.rank
+        ids, n = np.array(list(map(str, range(len(self.stack)))), dtype=object), self.rank
         tails = [fmt.tail % {"k": k, "d": d} for k in range(1, n + 1) for d in fmt.labels]
         for a in range(0, len(self.targets), _CHUNK_NODES):
-            sources = map(fmt.edge.__mod__, ids[a : a + _CHUNK_NODES])
-            heads = chain.from_iterable(map(repeat, sources, repeat(2 * n)))
-            dsts = map(ids.__getitem__, np.repeat(self.targets[a : a + _CHUNK_NODES].ravel(), 2).tolist())
-            text = "".join(chain.from_iterable(zip(heads, dsts, cycle(tails))))
+            targets = self.targets[a : a + _CHUNK_NODES]
+            # Source-major, then position, direction: head, target id, tail.
+            cells = np.empty((len(targets), 2 * n, 3), dtype=object)
+            cells[:, :, 0] = np.array(list(map(fmt.edge.__mod__, ids[a : a + len(targets)])), dtype=object)[:, None]
+            cells[:, :, 1] = ids[np.repeat(targets, 2, axis=1)]
+            cells[:, :, 2] = tails
+            text = "".join(cells.ravel().tolist())
             yield text if a else text[fmt.skip[1] :]
         yield closing
 
@@ -286,10 +291,12 @@ class ExchangeGraph:
         """Nodes a..b-1 in `fmt`; each distinct class vector is rendered once."""
         n, keys = self.rank, _row_bytes(self.stack[a:b], self.rank)
         rows = {key: fmt.entry.join(map(str, np.frombuffer(key, np.int8).tolist())) for key in set(keys)}
-        heads = map(fmt.node.__mod__, range(a, b)) if "%s" in fmt.node else repeat(fmt.node, b - a)
-        seps = cycle([fmt.between] * (n - 1) + [fmt.last])
-        cells = chain.from_iterable(zip(map(rows.__getitem__, keys), seps))
-        return "".join(chain.from_iterable(zip(heads, *[cells] * (2 * n))))
+        # Per node: head, then each class and the separator after it.
+        cells = np.empty((b - a, 2 * n + 1), dtype=object)
+        cells[:, 0] = list(map(fmt.node.__mod__, range(a, b))) if "%s" in fmt.node else fmt.node
+        cells[:, 1::2] = np.array(list(map(rows.__getitem__, keys)), dtype=object).reshape(b - a, n)
+        cells[:, 2::2] = [fmt.between] * (n - 1) + [fmt.last]
+        return "".join(cells.ravel().tolist())
 
     def to_json(self, head: dict | None = None) -> str:
         return "".join(self.json_chunks(head))

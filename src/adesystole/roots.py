@@ -3,8 +3,8 @@
 A root system here is the K-theoretic shadow of an ADE graph: its Cartan
 matrix, the exact rational inverse, the Coxeter number, and the positive
 roots written as integer coefficient vectors in the basis of simples.
-One fraction-free elimination gives the inverse, the positive roots are
-raised height by height, and one R^T R product checks the identity.
+A float inverse certified by one integer product gives C^-1, the positive
+roots are raised height by height, and one R^T R product checks the identity.
 Vertices carry the labels 1..n used throughout: type A is the chain
 1-2-...-n, type D is the chain 1-...-(n-1) with vertex n attached to
 vertex n-2, and types E6/E7/E8 use the Bourbaki numbering (chain
@@ -86,7 +86,8 @@ def cartan_matrix(ade: AdeType) -> tuple[tuple[int, ...], ...]:
 
 
 def _bareiss(rows) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
-    """Exact (det, adjugate) of a square integer matrix, or (0, None) if singular.
+    """Exact (det, adjugate) of a square integer matrix, or (0, None) if singular;
+    `actions.validate_heart` takes the determinant of a heart's simples from it.
 
     Fraction-free Gauss-Jordan on [M | I] (Bareiss, Math. Comp. 22, 1968):
     each division by the previous pivot is exact, and [M | I] ends as
@@ -172,14 +173,23 @@ class RootSystem:
 def build_root_system(ade: AdeType) -> RootSystem:
     """Assemble the full root-system record for one ADE type.
 
-    Results are cached; RootSystem is immutable, so sharing is safe.
+    The inverse is a float inverse proved exact in integers: with d =
+    round(det C) and A = rint(d inv(C)), C A = d I and d != 0 prove C^-1 =
+    A / d (Rump, Acta Numerica 19, 2010); if not, ArithmeticError.  Results
+    are cached; RootSystem is immutable, so sharing is safe.
     """
     cartan = cartan_matrix(ade)
-    det, adj = _bareiss(cartan)
+    c = np.array(cartan, dtype=np.int64)
+    det = int(np.rint(np.linalg.det(c)))
+    adj = np.rint(det * np.linalg.inv(c)).astype(np.int64)
+    if det == 0 or not np.array_equal(c @ adj, det * np.eye(ade.rank, dtype=np.int64)):
+        raise ArithmeticError(f"the rounded float inverse of the {ade} Cartan matrix is not exact")
+    rows = adj.tolist()
+    exact = {x: Fraction(x, det) for x in set().union(*rows)}  # one Fraction per distinct entry
     return RootSystem(
         ade=ade,
         cartan=cartan,
-        cartan_inv=tuple(tuple(Fraction(x, det) for x in row) for row in adj),
+        cartan_inv=tuple(tuple(map(exact.__getitem__, row)) for row in rows),
         coxeter=coxeter_number(ade),
         positive_roots=_positive_roots(cartan),
     )
@@ -222,16 +232,16 @@ def verify_volume_identity(rs: RootSystem) -> IdentityReport:
     """Check, in exact rational arithmetic, that for every pair i <= j the
     (i,j) entry of the inverse Cartan matrix equals the sum of c_i(M)c_j(M)
     over positive roots M divided by the Coxeter number.  The sums are the
-    entries of R^T R, R the integer matrix with the positive roots as rows."""
-    n = rs.rank
+    entries of R^T R, R the integer matrix with the positive roots as rows;
+    a/b = g/h is compared as a h = g b in integers."""
+    n, h = rs.rank, rs.coxeter
     roots = np.array(rs.positive_roots, dtype=np.int64)
     gram = (roots.T @ roots).tolist()
     failures = []
     for i in range(n):
         for j in range(i, n):
             lhs = rs.cartan_inv[i][j]
-            rhs = Fraction(gram[i][j], rs.coxeter)
-            if lhs != rhs:
-                failures.append((i + 1, j + 1, lhs, rhs))
+            if lhs.numerator * h != gram[i][j] * lhs.denominator:
+                failures.append((i + 1, j + 1, lhs, Fraction(gram[i][j], h)))
     pairs = n * (n + 1) // 2
     return IdentityReport(passed=not failures, pairs_checked=pairs, failures=tuple(failures))

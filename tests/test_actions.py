@@ -427,6 +427,11 @@ def test_constructor_round_trips_and_rejects_other_edge_lists():
         ExchangeGraph(1, (((1,),), ((-1,),)), loop, 1, False)  # node 1 is never reached
 
 
+def test_constructor_rejects_a_graph_without_nodes():
+    with pytest.raises(ValueError, match="start node"):
+        ExchangeGraph(rank=2, nodes=(), edges=(), depth=1, complete=True)
+
+
 def test_writers_stream_the_exports():
     a6 = build_root_system(AdeType("A", 6))
     graph = exchange_graph(a6, closing_depth(a6))
@@ -501,6 +506,18 @@ def test_human_chunks_match_render_human_of_the_adjacency(ade, depth):
     head = {"schema_version": 1, "command": "tilt-graph", "inputs": {"family": ade.family, "depth": depth}}
     text = "".join(graph.human_chunks(render_human(head)))
     assert text == render_human({**head, **graph.adjacency()})
+    assert "".join(graph.human_chunks()) == render_human(graph.adjacency())
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@pytest.mark.parametrize("ade,depth", _json_cases())
+def test_exports_across_chunk_boundaries(monkeypatch, chunk, ade, depth):
+    monkeypatch.setattr("adesystole.actions._CHUNK_NODES", chunk)
+    graph = exchange_graph(build_root_system(ade), depth)
+    chunks = list(graph.json_chunks())
+    assert len(chunks) == 4 + -(-len(graph.stack) // chunk) + -(-len(graph.targets) // chunk)
+    assert "".join(chunks) == json.dumps(graph.adjacency(), indent=2)
+    assert graph.to_dot() == _reference_to_dot(graph)
     assert "".join(graph.human_chunks()) == render_human(graph.adjacency())
 
 

@@ -154,6 +154,49 @@ def test_inverse_spot_values():
     assert build_root_system(AdeType("D", 4)).cartan_inv[2][3] == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("ade", ALL_TYPES, ids=str)
+def test_certified_inverse_equals_the_bareiss_inverse(ade):
+    det, adj = _bareiss(cartan_matrix(ade))
+    assert build_root_system(ade).cartan_inv == tuple(tuple(Fraction(x, det) for x in row) for row in adj)
+
+
+@pytest.fixture
+def cold_builds():
+    """An empty build cache before and after, so no test sees another's build."""
+    build_root_system.cache_clear()
+    yield
+    build_root_system.cache_clear()
+
+
+@pytest.mark.parametrize("ade", [AdeType("A", 1), AdeType("A", 32), AdeType("D", 32), AdeType("E", 8)], ids=str)
+@pytest.mark.parametrize("entry,unit", [((0, 0), 1), ((-1, 0), -1)], ids=["first+1", "last-1"])
+def test_an_inverse_wrong_by_one_unit_is_never_returned(monkeypatch, cold_builds, ade, entry, unit):
+    inv, det = np.linalg.inv, np.linalg.det
+
+    def wrong(matrix):
+        out = inv(matrix)
+        out[entry] += unit / det(matrix)  # d * inv(C) rounds one unit off here
+        return out
+
+    monkeypatch.setattr(np.linalg, "inv", wrong)
+    with pytest.raises(ArithmeticError, match=f"{ade} Cartan matrix"):
+        build_root_system(ade)
+
+
+@pytest.mark.parametrize("scale,exact", [(2, True), (-3, True), (0, False)])
+def test_the_certificate_holds_for_any_nonzero_determinant(monkeypatch, cold_builds, scale, exact):
+    # C A = d I with d != 0 proves C^-1 = A / d even when d is not det C.
+    ade = AdeType("D", 7)
+    det, adj = _bareiss(cartan_matrix(ade))
+    real = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda matrix: scale * real(matrix))
+    if not exact:
+        with pytest.raises(ArithmeticError, match="not exact"):
+            build_root_system(ade)
+        return
+    assert build_root_system(ade).cartan_inv == tuple(tuple(Fraction(x, det) for x in row) for row in adj)
+
+
 # == Positive-root enumeration ===============================================
 
 def test_a3_positive_roots():
@@ -306,3 +349,39 @@ def test_identity_fails_with_wrong_coxeter():
     # The reported right side is the root sum over the sabotaged Coxeter number.
     coeff_sum = sum(a[i - 1] * a[j - 1] for a in rs.positive_roots)
     assert rhs == Fraction(coeff_sum, rs.coxeter + 1)
+
+
+def _reference_identity_failures(rs):
+    """The identity's witnesses as the check found them with one Fraction per pair."""
+    roots = np.array(rs.positive_roots, dtype=np.int64)
+    gram = (roots.T @ roots).tolist()
+    failures = []
+    for i in range(rs.rank):
+        for j in range(i, rs.rank):
+            lhs, rhs = rs.cartan_inv[i][j], Fraction(gram[i][j], rs.coxeter)
+            if lhs != rhs:
+                failures.append((i + 1, j + 1, lhs, rhs))
+    return tuple(failures)
+
+
+def _off_by_one(rs, i, j, unit):
+    """`rs` with the inverse entry (i, j), 0-based, moved by unit / h."""
+    inv = [list(row) for row in rs.cartan_inv]
+    inv[i][j] += Fraction(unit, rs.coxeter)
+    return dataclasses.replace(rs, cartan_inv=tuple(map(tuple, inv)))
+
+
+@pytest.mark.parametrize(
+    "ade", [AdeType("A", 1), AdeType("A", 5), AdeType("D", 6), AdeType("E", 7), AdeType("D", 32)], ids=str
+)
+def test_identity_witnesses_match_the_fraction_check(ade):
+    rs = build_root_system(ade)
+    n, h = rs.rank, rs.coxeter
+    doctored = [dataclasses.replace(rs, coxeter=c) for c in (h + 1, h - 1, 2 * h, -h)]
+    doctored += [_off_by_one(rs, 0, 0, 1), _off_by_one(rs, 0, n - 1, -1), _off_by_one(rs, n - 1, 0, 1)]
+    for broken in doctored:
+        report, expected = verify_volume_identity(broken), _reference_identity_failures(broken)
+        assert report.failures == expected and report.passed == (not expected)
+        assert report.pairs_checked == n * (n + 1) // 2
+    # Only i <= j is checked: an entry below the diagonal goes unseen.
+    assert verify_volume_identity(doctored[-1]).passed == (n > 1)
