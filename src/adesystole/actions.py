@@ -17,7 +17,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import cycle
+from itertools import accumulate, cycle
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -29,6 +29,8 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 RATIO_REL_TOL = 1e-12
+
+MAX_GRAPH_BYTES = 4 * 10**9  # of an exchange graph's arrays; about 4 GB, as search.MAX_SAMPLE_COUNT
 
 
 def act_scaling(Z, zeta: complex) -> np.ndarray:
@@ -175,7 +177,7 @@ _HUMAN_LINE = _HUMAN._replace(node=", [[", skip=(2, 0))
 
 
 class ExchangeGraph:
-    """Class-level tilt graph, stored as arrays.
+    """Class-level tilt graph, stored as arrays; `exchange_graph` builds it.
 
     `stack` is the (N, n, n) int8 array of the nodes in breadth-first
     order; row k of stack[i] is the class of node i's k-th simple.  Nodes
@@ -183,8 +185,9 @@ class ExchangeGraph:
     int32 array, is the node that the tilt at position k leads to from
     node i; forward and backward tilts share one class map, so each target
     stands for two labelled edges.  `levels` holds the offsets of the BFS
-    levels: level d is nodes levels[d]:levels[d + 1].  `complete` reports
-    whether every node was expanded before the depth cap stopped the search.
+    levels: level d is nodes levels[d]:levels[d + 1], as many as the q^d
+    coefficient of W's Poincare polynomial.  `complete` reports whether
+    every node was expanded before the depth cap stopped the search.
 
     `nodes` (tuples of class tuples) and `edges` ((source, target,
     position, direction), source-major, position-minor, forward first) are
@@ -192,27 +195,9 @@ class ExchangeGraph:
     DOT and human exports never build them.
     """
 
-    def __init__(self, rank: int, nodes, edges, depth: int, complete: bool):
-        """A graph from tuples, numbered and listed as `exchange_graph` does."""
-        nodes, edges = tuple(nodes), tuple(map(tuple, edges))
-        if not nodes:
-            raise ValueError("a graph holds at least its start node")
-        stack = np.array(nodes, dtype=np.int8).reshape(len(nodes), rank, rank)
-        targets = np.array([edge[1] for edge in edges[::2]], dtype=np.int32).reshape(-1, rank)
-        self._store(rank, stack, targets, depth, complete)
-        if self.edges != edges:
-            raise ValueError("edges must list every tilt of each expanded node, as exchange_graph does")
-
-    @classmethod
-    def _from_arrays(cls, rank, stack, targets, depth, complete) -> ExchangeGraph:
-        graph = cls.__new__(cls)
-        graph._store(rank, stack, targets, depth, complete)
-        return graph
-
-    def _store(self, rank, stack, targets, depth, complete) -> None:
-        self.rank, self.stack, self.targets = rank, stack, targets
+    def __init__(self, rank: int, stack, targets, levels: tuple[int, ...], depth: int, complete: bool):
+        self.rank, self.stack, self.targets, self.levels = rank, stack, targets, levels
         self.depth, self.complete = depth, complete
-        self.levels = _level_offsets(targets, len(stack))
 
     @cached_property
     def nodes(self) -> tuple[tuple[RootClass, ...], ...]:
@@ -305,23 +290,22 @@ class ExchangeGraph:
         return "".join(self.dot_chunks())
 
 
-def _level_offsets(targets: np.ndarray, size: int) -> tuple[int, ...]:
-    """Offsets of the BFS levels of `size` nodes numbered in BFS order.
-
-    Level d + 1 ends after the largest target of level d, since every node
-    it holds is a first-seen target of level d.
-    """
-    offsets = [0, 1]
-    while offsets[-1] < size:
-        start, end = offsets[-2:]
-        if end > len(targets) or (stop := int(targets[start:end].max()) + 1) <= end:
-            raise ValueError("nodes are not numbered in breadth-first order")
-        offsets.append(stop)
-    return tuple(offsets)
+def _level_widths(rs: RootSystem, depth: int) -> list[int]:
+    """Coefficients 0..depth of W's Poincare polynomial, the product of
+    1 + q + ... + q^m over W's exponents m, its degrees less one (Humphreys,
+    Reflection Groups and Coxeter Groups, 3.7); exponent m occurs as often
+    as the roots of height m outnumber those of height m + 1 (3.20)."""
+    per_height = np.bincount(np.array(rs.positive_roots).sum(axis=1))[1:]
+    exponents = np.repeat(np.arange(1, len(per_height) + 1), -np.diff(per_height, append=0))
+    widths = [1] + [0] * depth
+    for m in exponents.tolist():
+        sums = [0, *accumulate(widths)]
+        widths = [sums[k + 1] - sums[max(k - m, 0)] for k in range(depth + 1)]
+    return widths
 
 
 def exchange_graph(rs: RootSystem, max_depth: int) -> ExchangeGraph:
-    """Breadth-first tilt graph from the standard heart, one level at a time.
+    """Breadth-first tilt graph from the standard heart; `ExchangeGraph`'s only builder.
 
     Every node within max_depth tilts of the start is expanded at each of
     its n positions, and new nodes are numbered source-major, position-minor.
@@ -329,38 +313,52 @@ def exchange_graph(rs: RootSystem, max_depth: int) -> ExchangeGraph:
     `complete` is False in that case.
 
     The graph is the Cayley graph of the Weyl group for the simple
-    reflections (Brav-Thomas, Math. Ann. 2011).  Every reached heart M
-    pairs its simples by C, so the tilt at k is T_k = I - c_k e_k^T.  The
-    heights M @ 1 = w(rho) of the simples are distinct, at most h - 1 in
-    absolute value, and key a node in n int8 bytes.  As l(ws) = l(w) +- 1,
-    a target is either in the previous level or new.
+    reflections (Brav-Thomas, Math. Ann. 2011), so `_level_widths` sizes
+    each level: the arrays are allocated once (ValueError if over
+    MAX_GRAPH_BYTES), and a level of another width is ArithmeticError.
+    Every reached heart M pairs its simples by C, so the tilt at k is
+    T_k = I - c_k e_k^T.  The heights M @ 1 = w(rho) of the simples are
+    distinct, at most h - 1 in absolute value, and key a node in n int8
+    bytes.  As l(ws) = l(w) +- 1, a target is either in the previous level
+    or new.
     """
     if isinstance(max_depth, bool) or not isinstance(max_depth, numbers.Integral):
         raise ValueError(f"max_depth must be an integer, got {max_depth!r}")
     if max_depth < 1:
         raise ValueError(f"max_depth must be at least 1, got {max_depth}")
     n, key = rs.rank, f"V{rs.rank}"
+    last = min(max_depth, len(rs.positive_roots))  # the last level; |Phi+| holds the longest element
+    complete = max_depth > last  # then the longest element is expanded too, into a level of width 0
+    widths = _level_widths(rs, last + 1)
+    levels = tuple(accumulate(widths[: last + 1], initial=0))
+    size = levels[-1]
+    expanded = size if complete else levels[-2]
+    if (nbytes := size * n * n + expanded * n * 4) > MAX_GRAPH_BYTES:
+        raise ValueError(f"the {rs.ade} tilt graph to depth {max_depth} has {size:,} nodes in {nbytes:,} bytes, "
+                         f"over the limit of {MAX_GRAPH_BYTES:,}")
+    stack, targets = np.empty((size, n, n), dtype=np.int8), np.empty((expanded, n), dtype=np.int32)
+    stack[0] = np.eye(n, dtype=np.int8)
     cartan = rs.cartan_array.astype(np.int8)
-    level = np.eye(n, dtype=np.int8)[None]
-    previous, start, levels, targets = np.empty(0, key), 0, [level], []  # previous level's keys, first node
-    while len(level) and len(levels) <= max_depth:
+    previous = np.empty(0, key)  # the previous level's keys
+    for d in range(last + complete):
+        a, b = levels[d], levels[d + 1]
+        level = stack[a:b]
         heights = level.sum(axis=2, dtype=np.int8)
         # Row n * f + k holds the heights of T_k applied to node f; all within 2(h - 1) <= 122.
         images = (heights[:, None, :] - heights[:, :, None] * cartan).reshape(-1, n)
         keys, seen = np.concatenate((previous, images.view(key).ravel())), len(previous)
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         new = np.argsort(first)[seen:]  # the previous level's distinct keys come first
-        ids = start + first
-        ids[new] = start + seen + len(level) + np.arange(len(new))
-        targets.append(ids[inverse[seen:]].astype(np.int32).reshape(-1, n))
+        if len(new) != widths[d + 1]:
+            raise ArithmeticError(f"level {d + 1} of the {rs.ade} tilt graph has {len(new)} nodes, not {widths[d + 1]}")
+        ids = a - seen + first
+        ids[new] = b + np.arange(len(new))
+        targets[a:b] = ids[inverse[seen:]].reshape(-1, n)
         # Each new node is T_k applied to its first-seen source.
         src, pos = np.divmod(first[new] - seen, n)
-        level = level[src] - cartan[pos][:, :, None] * level[src, pos][:, None, :]
-        previous, start = heights.view(key).ravel(), start + seen
-        levels.append(level)
-    return ExchangeGraph._from_arrays(
-        n, np.concatenate(levels), np.concatenate(targets), max_depth, complete=not len(level)
-    )
+        stack[b : b + len(new)] = level[src] - cartan[pos][:, :, None] * level[src, pos][:, None, :]
+        previous = heights.view(key).ravel()
+    return ExchangeGraph(n, stack, targets, levels, max_depth, complete)
 
 
 def _row_bytes(array: np.ndarray, width: int) -> list[bytes]:

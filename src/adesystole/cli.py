@@ -367,8 +367,8 @@ _SAMPLE = (_SEED, ("--count", {"type": int}))
 _OPTIMIZE = (_SEED, ("--restarts", {"type": int}))
 _DEPTH_HELP = (
     "default 4; a closed graph has one node per Weyl group element: (n+1)! for A_n, "
-    "2^(n-1)*n! for D_n, 51,840 for E6, 2,903,040 for E7 (depth 64, about 11 s and 0.5 GB); "
-    "E8 (696,729,600) is out of reach; every output mode is streamed"
+    "2^(n-1)*n! for D_n, 51,840 for E6, 2,903,040 for E7 (depth 64, 9-13 s and 0.3 GB); "
+    "a graph over 4 GB, such as closed E8 (696,729,600), is invalid; every output mode is streamed"
 )
 _POINTS = (
     ("--points", {"help": "comma-separated a+bi points"}),

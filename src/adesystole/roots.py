@@ -229,14 +229,13 @@ class IdentityReport:
 
 
 def verify_volume_identity(rs: RootSystem) -> IdentityReport:
-    """Check, in exact rational arithmetic, that for every pair i <= j the
-    (i,j) entry of the inverse Cartan matrix equals the sum of c_i(M)c_j(M)
-    over positive roots M divided by the Coxeter number.  The sums are the
-    entries of R^T R, R the integer matrix with the positive roots as rows;
-    a/b = g/h is compared as a h = g b in integers."""
+    """Check, in exact arithmetic, that for every pair i <= j the (i,j)
+    entry of the inverse Cartan matrix is the sum of c_i(M)c_j(M) over the
+    positive roots M divided by the Coxeter number, a/b = g/h as a h = g b in
+    integers.  The sums are R^T R, R = `root_matrix`, in floats but exact:
+    no root coefficient passes 6, so no partial sum passes |Phi+| 6^2 < 2^53."""
     n, h = rs.rank, rs.coxeter
-    roots = np.array(rs.positive_roots, dtype=np.int64)
-    gram = (roots.T @ roots).tolist()
+    gram = (rs.root_matrix.T @ rs.root_matrix).astype(np.int64).tolist()
     failures = []
     for i in range(n):
         for j in range(i, n):

@@ -8,6 +8,7 @@ from itertools import cycle
 import numpy as np
 import pytest
 
+from adesystole import actions, cli
 from adesystole.actions import (
     _CHUNK_NODES,
     BACKWARD,
@@ -16,6 +17,7 @@ from adesystole.actions import (
     HeartState,
     act_scaling,
     canonical_heart,
+    _level_widths,
     _node_tuples,
     _row_bytes,
     _tilt,
@@ -330,11 +332,12 @@ def test_shallow_graph_matches_reference_search(ade):
 def poincare(degrees):
     """Coefficients of prod_i (1 + q + ... + q^(d_i - 1)) over the degrees
     d_i of W: the number of Weyl group elements of each length
-    (Humphreys, Reflection Groups and Coxeter Groups, Ch. 3)."""
-    coeffs = np.array([1])
+    (Humphreys, Reflection Groups and Coxeter Groups, Ch. 3).  In Python ints,
+    as the largest coefficient passes 2^63 from A21 and D18 on."""
+    coeffs = [1]
     for d in degrees:
-        coeffs = np.convolve(coeffs, np.ones(d, dtype=int))
-    return coeffs.tolist()
+        coeffs = [sum(coeffs[max(k - d + 1, 0) : k + 1]) for k in range(len(coeffs) + d - 1)]
+    return coeffs
 
 
 def weyl_degrees(ade):
@@ -343,7 +346,11 @@ def weyl_degrees(ade):
         return range(2, n + 2)
     if ade.family == "D":
         return [*range(2, 2 * n - 1, 2), n]
-    return {"E6": (2, 5, 6, 8, 9, 12)}[str(ade)]
+    return {
+        "E6": (2, 5, 6, 8, 9, 12),
+        "E7": (2, 6, 8, 10, 12, 14, 18),
+        "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+    }[str(ade)]
 
 
 def mahonian(n):
@@ -382,6 +389,57 @@ def test_closed_graph_nodes_are_weyl_group_elements(rs):
     assert np.abs(heights).max() <= rs.coxeter - 1
 
 
+@pytest.mark.parametrize("ade", ALL_TYPES, ids=str)
+def test_level_widths_are_the_poincare_coefficients_from_the_degree_table(ade):
+    # The widths come from the root heights; the oracle from the degrees.
+    rs = build_root_system(ade)
+    closed = poincare(weyl_degrees(ade))
+    assert len(closed) == count_positive_roots(ade) + 1
+    assert _level_widths(rs, len(closed)) == closed + [0]
+    assert _level_widths(rs, 3) == (closed + [0, 0])[:4]  # A1's polynomial is 1 + q
+
+
+@pytest.mark.parametrize(
+    "ade,depth",
+    [(AdeType("E", 7), 6), (AdeType("E", 8), 5), (AdeType("A", 32), 3), (AdeType("D", 32), 3)],
+    ids=str,
+)
+def test_depth_limited_widths_are_the_first_poincare_coefficients(ade, depth):
+    graph = exchange_graph(build_root_system(ade), depth)
+    assert not graph.complete and len(graph.levels) == depth + 2
+    assert np.diff(graph.levels).tolist() == poincare(weyl_degrees(ade))[: depth + 1]
+
+
+@pytest.mark.parametrize("level", [1, 2, 15, 16])
+def test_a_level_off_its_poincare_coefficient_is_a_property_violation(monkeypatch, capsys, level):
+    # Level 16 of A5 is the width 0 past the longest element, reached only
+    # when the closed graph expands it.
+    def off_by_one(rs, depth):
+        widths = _level_widths(rs, depth)
+        widths[level] += 1
+        return widths
+
+    monkeypatch.setattr(actions, "_level_widths", off_by_one)
+    with pytest.raises(ArithmeticError, match=f"level {level} of the A5 tilt graph"):
+        exchange_graph(A5, closing_depth(A5))
+    assert cli.main(["tilt-graph", "--family", "A", "--rank", "5", "--depth", "16"]) == 2
+    assert f"property violation: level {level}" in capsys.readouterr().err
+
+
+def test_graphs_over_the_byte_budget_are_rejected_before_building(monkeypatch, capsys):
+    # Closed A5: 720 nodes of 5 x 5 int8 classes, 720 x 5 int32 targets.
+    size = 720 * 25 + 720 * 5 * 4
+    monkeypatch.setattr(actions, "MAX_GRAPH_BYTES", size)
+    assert len(exchange_graph(A5, closing_depth(A5)).stack) == 720
+    monkeypatch.setattr(actions, "MAX_GRAPH_BYTES", size - 1)
+    with pytest.raises(ValueError, match=f"has 720 nodes in {size:,} bytes"):
+        exchange_graph(A5, closing_depth(A5))
+    monkeypatch.undo()
+    # Closed E8 would take about 67 GB.
+    assert cli.main(["tilt-graph", "--family", "E", "--rank", "8", "--depth", "121"]) == 1
+    assert "has 696,729,600 nodes in 66,886,041,600 bytes" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ade", SMALL_TYPES[5:], ids=str)
 def test_closed_level_widths_are_palindromic(ade):
     # Multiplying by the longest element maps length l to |Phi+| - l.
@@ -413,23 +471,6 @@ def test_graph_arrays_back_the_tuple_views():
     assert graph.nodes[7] == tuple(map(tuple, graph.stack[7].tolist()))
     assert graph.edges[8 * 3 + 2 * 1 + 1] == (3, int(graph.targets[3, 1]), 2, BACKWARD)
     assert graph.nodes is graph.nodes and graph.edges is graph.edges
-
-
-def test_constructor_round_trips_and_rejects_other_edge_lists():
-    graph = exchange_graph(A2, 2)
-    again = ExchangeGraph(graph.rank, graph.nodes, graph.edges, graph.depth, graph.complete)
-    assert np.array_equal(again.stack, graph.stack) and np.array_equal(again.targets, graph.targets)
-    assert again.levels == graph.levels and again.to_json() == graph.to_json()
-    with pytest.raises(ValueError, match="as exchange_graph does"):
-        ExchangeGraph(graph.rank, graph.nodes, graph.edges[::-1], graph.depth, graph.complete)
-    loop = ((0, 0, 1, FORWARD), (0, 0, 1, BACKWARD))
-    with pytest.raises(ValueError, match="breadth-first"):
-        ExchangeGraph(1, (((1,),), ((-1,),)), loop, 1, False)  # node 1 is never reached
-
-
-def test_constructor_rejects_a_graph_without_nodes():
-    with pytest.raises(ValueError, match="start node"):
-        ExchangeGraph(rank=2, nodes=(), edges=(), depth=1, complete=True)
 
 
 def test_writers_stream_the_exports():
@@ -521,8 +562,13 @@ def test_exports_across_chunk_boundaries(monkeypatch, chunk, ade, depth):
     assert "".join(graph.human_chunks()) == render_human(graph.adjacency())
 
 
+def _lone_node_graph():
+    """The start node of a rank-1 graph, left unexpanded."""
+    return ExchangeGraph(1, np.ones((1, 1, 1), np.int8), np.empty((0, 1), np.int32), (0, 1), 1, False)
+
+
 def test_human_chunks_of_an_edgeless_graph():
-    graph = ExchangeGraph(rank=1, nodes=(((1,),),), edges=(), depth=1, complete=False)
+    graph = _lone_node_graph()
     text = "".join(graph.human_chunks("command: tilt-graph"))
     assert text == render_human({"command": "tilt-graph", **graph.adjacency()})
     assert text.endswith("\nnodes: [[[1]]]\nedges: []")
@@ -531,9 +577,9 @@ def test_human_chunks_of_an_edgeless_graph():
 @pytest.mark.parametrize("values,width", [([-100] * 10, 100), ([-100] * 2 + [100] * 9, 101)], ids=["100", "101"])
 def test_human_chunks_keep_the_100_character_line(values, width):
     # A chain of rank-1 nodes whose node list is `width` characters on one line.
-    nodes = [((v,),) for v in values]
-    edges = [(i, i + 1, 1, d) for i in range(len(values) - 1) for d in (FORWARD, BACKWARD)]
-    graph = ExchangeGraph(1, nodes, edges, len(values), False)
+    stack, targets = np.array(values, np.int8).reshape(-1, 1, 1), np.arange(1, len(values), dtype=np.int32)[:, None]
+    graph = ExchangeGraph(1, stack, targets, tuple(range(len(values) + 1)), len(values), False)
+    assert graph.edges[-1] == (len(values) - 2, len(values) - 1, 1, BACKWARD)
     assert len(json.dumps(graph.adjacency()["nodes"])) == width
     assert "".join(graph.human_chunks()) == render_human(graph.adjacency())
 
@@ -549,7 +595,7 @@ def test_human_chunks_decide_the_node_line_from_15_nodes(monkeypatch):
 
 def test_to_json_head_and_empty_arrays_match_stdlib():
     head = {"schema_version": 1, "inputs": {"family": "A", "tag": 'q"\n'}, "empty": {}, "none": []}
-    graph = ExchangeGraph(rank=1, nodes=(((1,),),), edges=(), depth=1, complete=False)
+    graph = _lone_node_graph()
     assert graph.to_json() == json.dumps(graph.adjacency(), indent=2)
     assert graph.to_json(head) == json.dumps({**head, **graph.adjacency()}, indent=2)
 
