@@ -28,9 +28,9 @@ _SOURCES = {
     ),
     **dict.fromkeys(("SearchConfig", "SearchResult", "optimize_ratio", "sample_ratios"), "search"),
     **dict.fromkeys(
-        ("CorrespondenceReport", "PointConfiguration", "SegmentLengths", "geometric_systole",
-         "geometric_volume", "induced_charge", "points_from_coefficients", "segment_lengths",
-         "validate_configuration", "verify_correspondence"),
+        ("CorrespondenceReport", "PointConfiguration", "geometric_systole", "geometric_volume",
+         "induced_charge", "points_from_coefficients", "validate_configuration",
+         "verify_correspondence"),
         "milnor",
     ),
 }

@@ -311,13 +311,12 @@ def _milnor(args, _rs) -> Report:
     from adesystole import milnor
 
     config = _configuration(args)
-    lengths = milnor.segment_lengths(config)
     fields = {
         "n": config.n,
         "points_centered": format_charge(config.points),
         "ordering": list(config.ordering),
         "general_position": config.general_position,
-        "segment_lengths": [{"i": i, "j": j, "length": value} for i, j, value in lengths.entries],
+        "segment_lengths": [{"i": i, "j": j, "length": value} for i, j, value in config.segments],
         "systole": milnor.geometric_systole(config),
         "volume": milnor.geometric_volume(config),
     }
@@ -435,8 +434,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value may start with "-".  argparse (3.10-3.12) takes a
+# following "-1" or "-1.5" as a value but not "-1+1i", so such a token is
+# attached to the flag as "--charge=-1+1i" before parsing.
+_SIGNED_FLAGS = ("--charge", "--points", "--poly")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    attached = []
+    for token in argv:
+        signed = token[:1] == "-" and token[1:2] in tuple("0123456789.")
+        if signed and attached and attached[-1] in _SIGNED_FLAGS:
+            attached[-1] += "=" + token
+        else:
+            attached.append(token)
+    return attached
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     if args.config:
         apply_config(args, read_config(args.config))
     command = COMMANDS[args.command]

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass
-from functools import cached_property
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -36,29 +35,22 @@ class PointConfiguration:
     """n+1 distinct points with centroid zero, plus a labeling order.
 
     `points` keeps the construction-time (centered) input order; the k-th
-    labeled point is points[ordering[k]].  `general_position` records
-    whether every triple spans a genuinely nonzero triangle.
+    labeled point is labeled[k] = points[ordering[k]].  `general_position`
+    records whether every triple spans a genuinely nonzero triangle.
+    `segments` holds (i, j, l_ij) for 1 <= i <= j <= n, where l_ij is the
+    distance between labeled points i and j+1, read from the distances
+    that `validate_configuration` forms for its distinct-pair check.
     """
 
     points: tuple[complex, ...]
     ordering: tuple[int, ...]
     general_position: bool
+    labeled: tuple[complex, ...] = field(repr=False, compare=False)
+    segments: tuple[tuple[int, int, float], ...] = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.points) - 1
-
-    @cached_property
-    def labeled(self) -> tuple[complex, ...]:
-        return tuple(self.points[k] for k in self.ordering)
-
-    @cached_property
-    def segments(self) -> SegmentLengths:
-        """All pairwise distances, indexed so that l_ij joins points i and j+1;
-        built once and shared by the geometric systole and volume."""
-        zeta = self.labeled
-        entries = tuple((i, j, abs(b - a)) for i, a in enumerate(zeta, 1) for j, b in enumerate(zeta[i:], i))
-        return SegmentLengths(n=self.n, entries=entries)
 
 
 def validate_configuration(raw_points, ordering=None) -> PointConfiguration:
@@ -96,9 +88,10 @@ def validate_configuration(raw_points, ordering=None) -> PointConfiguration:
         )
     tol = DISTINCT_REL_TOL * scale
     spokes = [[q - p for q in pts[k + 1 :]] for k, p in enumerate(pts)]  # pts[l] - pts[k], l > k
-    for k, spoke in enumerate(spokes, 1):
-        for l, d in enumerate(spoke, k + 1):
-            if abs(d) <= tol:
+    distances = [[abs(d) for d in spoke] for spoke in spokes]
+    for k, row in enumerate(distances, 1):
+        for l, length in enumerate(row, k + 1):
+            if length <= tol:
                 raise ValueError(f"points must be pairwise distinct (pair {k}, {l})")
     if ordering is None:
         order = tuple(sorted(range(len(pts)), key=lambda k: (pts[k].real, pts[k].imag)))
@@ -109,49 +102,31 @@ def validate_configuration(raw_points, ordering=None) -> PointConfiguration:
                 raise ValueError(f"ordering entry {k} must be an integer, got {entry!r}")
         if sorted(order) != list(range(len(pts))):
             raise ValueError(f"ordering must be a permutation of 0..{len(pts) - 1}")
+        order = tuple(map(int, order))
     floor = AREA_REL_TOL * scale**2
     general = all(  # every triangle a, b, c has a nonzero area
         abs((d * e.conjugate()).imag) / 2.0 > floor
         for spoke in spokes
         for d, e in combinations(spoke, 2)
     )
-    return PointConfiguration(points=tuple(pts), ordering=tuple(map(int, order)), general_position=general)
-
-
-@dataclass(frozen=True)
-class SegmentLengths:
-    """Distances l_ij between labeled points i and j+1, for 1 <= i <= j <= n."""
-
-    n: int
-    entries: tuple[tuple[int, int, float], ...]
-
-    @cached_property
-    def _table(self) -> dict:
-        return {(i, j): value for i, j, value in self.entries}
-
-    def get(self, i: int, j: int) -> float:
-        return self._table[(i, j)]
-
-    def min(self) -> float:
-        return min(value for _, _, value in self.entries)
-
-    def sum_squares(self) -> float:
-        return sum(value**2 for _, _, value in self.entries)
-
-
-def segment_lengths(p: PointConfiguration) -> SegmentLengths:
-    """All pairwise distances, indexed so that l_ij joins points i and j+1."""
-    return p.segments
+    # |pts[b] - pts[a]| is |pts[a] - pts[b]| bit for bit: read from the earlier point's row.
+    segments = tuple(
+        (i, j, distances[a][b - a - 1] if a < b else distances[b][a - b - 1])
+        for i, a in enumerate(order, 1)
+        for j, b in enumerate(order[i:], i)
+    )
+    labeled = tuple(pts[k] for k in order)
+    return PointConfiguration(tuple(pts), order, general, labeled=labeled, segments=segments)
 
 
 def geometric_systole(p: PointConfiguration) -> float:
     """pi times the shortest segment between two of the points."""
-    return math.pi * p.segments.min()
+    return math.pi * min(length for _, _, length in p.segments)
 
 
 def geometric_volume(p: PointConfiguration) -> float:
     """pi^2 / (n+1) times the sum of all squared segment lengths."""
-    return math.pi**2 / (p.n + 1) * p.segments.sum_squares()
+    return math.pi**2 / (p.n + 1) * sum(length**2 for _, _, length in p.segments)
 
 
 def induced_charge(p: PointConfiguration) -> np.ndarray:

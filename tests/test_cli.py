@@ -620,6 +620,37 @@ def test_invalid_inputs_exit_one(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("volume", "--family", "A", "--rank", "2", "--charge", "-1+1i,2i"),
+        ("inequality", "--family", "A", "--rank", "2", "--charge", "-.5-1e-3i,-2+0i"),
+        ("milnor", "--points", "-1+0i,1+0i"),
+        ("milnor", "--correspond", "--points", "-1+0i,1+0i,0.5i"),
+        ("correspond", "--poly", "-1+0i"),
+        ("correspond", "--poly", "-0+0i,-1+0i"),
+    ],
+    ids=" ".join,
+)
+def test_a_value_that_starts_with_minus_may_follow_its_flag(capsys, monkeypatch, argv):
+    *head, flag, value = argv
+    for output in ("human", "json"):
+        joined = run_cli(capsys, *head, f"{flag}={value}", "--output", output)
+        assert joined[0] == 0 and joined[2] == ""
+        assert run_cli(capsys, *head, flag, value, "--output", output) == joined
+    # The same through sys.argv, as the console script passes it.
+    monkeypatch.setattr(sys, "argv", ["adesystole", *head, flag, value])
+    assert cli.main() == 0
+    assert capsys.readouterr() == (run_cli(capsys, *head, f"{flag}={value}")[1], "")
+
+
+@pytest.mark.parametrize("flag", ["--charge", "--points", "--poly"])
+def test_a_flag_followed_by_another_flag_still_lacks_its_value(capsys, flag):
+    head = ("volume", "--family", "A", "--rank", "2") if flag == "--charge" else ("correspond",)
+    code, out, err = run_cli(capsys, *head, flag, "--output", "json")
+    assert (code, out, err) == (1, "", f"error: argument {flag}: expected one argument\n")
+
+
+@pytest.mark.parametrize(
     "command,charge,overflows",
     [
         ("inequality", "1e300+1e300i,1+1i", True),

@@ -16,7 +16,6 @@ from adesystole.milnor import (
     geometric_volume,
     induced_charge,
     points_from_coefficients,
-    segment_lengths,
     validate_configuration,
     verify_correspondence,
 )
@@ -187,41 +186,74 @@ def test_ordering_entries_must_be_integers(ordering, entry):
 
 def test_segment_lengths_two_points():
     config = validate_configuration([1, -1])
-    lengths = segment_lengths(config)
-    assert lengths.get(1, 1) == pytest.approx(2.0)
+    assert config.segments == ((1, 1, 2.0),)
 
 
 def test_segment_lengths_cube_roots():
-    lengths = segment_lengths(validate_configuration(CUBE_ROOTS))
-    for i, j, value in lengths.entries:
+    segments = validate_configuration(CUBE_ROOTS).segments
+    for i, j, value in segments:
         assert value == pytest.approx(math.sqrt(3))
-    assert len(lengths.entries) == 3
+    assert len(segments) == 3
 
 
 def test_segment_lengths_built_once_per_configuration():
     config = validate_configuration([1, -1, 1j, -2j])
-    lengths = segment_lengths(config)
-    assert segment_lengths(config) is lengths
-    assert geometric_systole(config) == math.pi * min(value for _, _, value in lengths.entries)
-    assert geometric_volume(config) == math.pi**2 / 4 * sum(value**2 for _, _, value in lengths.entries)
+    assert type(config.segments) is tuple and config.segments is config.segments
+    assert geometric_systole(config) == math.pi * min(value for _, _, value in config.segments)
+    assert geometric_volume(config) == math.pi**2 / 4 * sum(value**2 for _, _, value in config.segments)
+    # The stored lengths and labeled points stay out of repr and equality.
+    assert repr(config) == (
+        f"PointConfiguration(points={config.points!r}, ordering={config.ordering!r}, general_position=True)"
+    )
+    assert config == milnor.PointConfiguration(config.points, config.ordering, True, labeled=(), segments=())
 
 
 def test_segment_lengths_collinear():
-    lengths = segment_lengths(validate_configuration([0, 1, 2]))
-    assert lengths.get(1, 1) == pytest.approx(1.0)
-    assert lengths.get(1, 2) == pytest.approx(2.0)
-    assert lengths.get(2, 2) == pytest.approx(1.0)
+    config = validate_configuration([0, 1, 2])
+    assert config.segments == ((1, 1, 1.0), (1, 2, 2.0), (2, 2, 1.0))
 
 
 def test_lengths_are_all_pairwise_distances():
     rng = np.random.default_rng(3)
     config = random_configuration(rng, 5)
-    lengths = segment_lengths(config)
     pts = config.labeled
     expected = sorted(
         abs(pts[b] - pts[a]) for a in range(len(pts)) for b in range(a + 1, len(pts))
     )
-    assert sorted(v for _, _, v in lengths.entries) == pytest.approx(expected)
+    assert sorted(v for _, _, v in config.segments) == pytest.approx(expected)
+
+
+# == Reference segments ======================================================
+# The segment lengths as the configuration's cached property computed them,
+# from the labeled points, and the systole and volume formulas over them:
+# the lengths read from the distinct-pair check must match them by repr.
+
+def reference_segments(config):
+    zeta = config.labeled
+    entries = tuple((i, j, abs(b - a)) for i, a in enumerate(zeta, 1) for j, b in enumerate(zeta[i:], i))
+    systole = math.pi * min(value for _, _, value in entries)
+    volume = math.pi**2 / (config.n + 1) * sum(value**2 for _, _, value in entries)
+    return entries, systole, volume
+
+
+def assert_segments_match_reference(config):
+    assert repr(config.labeled) == repr(tuple(config.points[k] for k in config.ordering))
+    entries, systole, volume = reference_segments(config)
+    assert repr(config.segments) == repr(entries)
+    assert repr(geometric_systole(config)) == repr(systole)
+    assert repr(geometric_volume(config)) == repr(volume)
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_segments_match_reference(n):
+    rng = np.random.default_rng(18_000 + n)
+    for scale in (1e-150, 1.0, 1e150):
+        pts = scale * (rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
+        default = validate_configuration(pts)
+        for ordering in (None, default.ordering[::-1], rng.permutation(n + 1)):
+            assert_segments_match_reference(validate_configuration(pts, ordering=ordering))
+    for points in general_position_cases(rng, n):
+        assert_segments_match_reference(validate_configuration(points))
 
 
 # == Systole and volume ======================================================
@@ -281,8 +313,7 @@ def test_charge_telescopes_to_lengths():
         config = random_configuration(rng, n)
         rs = build_root_system(AdeType("A", n))
         z = induced_charge(config)
-        lengths = segment_lengths(config)
-        for i, j, value in lengths.entries:
+        for i, j, value in config.segments:
             segment = tuple(int(i <= k + 1 <= j) for k in range(n))
             assert abs(evaluate_charge(rs, z, segment)) == pytest.approx(value)
 
@@ -400,10 +431,11 @@ def test_segment_classes_past_the_rank_cap_are_raised_roots(n):
 
 def test_correspondence_keeps_no_segment_matrix():
     # Each call lays out 200 * 201 / 2 rows of 200 complex entries (64 MB);
-    # none of it may outlive the call.  The segment lengths are cached on the
-    # configuration, so they are built first.
+    # none of it may outlive the call.  The segment lengths are stored on the
+    # configuration when it is validated.
     config = validate_configuration(np.exp(2j * np.pi * np.arange(201) / 201))
-    assert config.segments.n == 200
+    assert len(config.segments) == 200 * 201 // 2
+    assert_segments_match_reference(config)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -473,7 +505,8 @@ def reference_correspondence_dict(r):
 
 def assert_poly_matches_reference(coeffs):
     """Same roots bit for bit (repr tells -0.0 from 0.0); when they form a
-    valid configuration, the same correspondence report and dict."""
+    valid configuration, the same correspondence report and dict, and the
+    configuration is returned."""
     found = outcome(points_from_coefficients, coeffs)
     expected = outcome(reference_points_from_coefficients, coeffs)
     assert expected[1] == [], f"the reference polish overflowed on {coeffs}"
@@ -481,10 +514,11 @@ def assert_poly_matches_reference(coeffs):
     try:
         config = validate_configuration(points_from_coefficients(coeffs))
     except ValueError:
-        return
+        return None
     report = verify_correspondence(config)
     assert repr(report) == repr(reference_verify_correspondence(config))
     assert repr(report.as_dict()) == repr(reference_correspondence_dict(report))
+    return config
 
 
 def polynomial_cases(rng, n):
@@ -509,4 +543,6 @@ def polynomial_cases(rng, n):
 def test_poly_roots_and_correspondence_match_reference(n):
     rng = np.random.default_rng(40_000 + n)
     for coeffs in polynomial_cases(rng, n):
-        assert_poly_matches_reference(coeffs)
+        config = assert_poly_matches_reference(coeffs)
+        if config is not None:
+            assert_segments_match_reference(config)
