@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import accumulate, cycle
@@ -22,7 +21,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from adesystole.roots import RootClass, RootSystem, _bareiss
+from adesystole.roots import RootClass, RootSystem, _bareiss, _check_int, _check_seed
 from adesystole.stability import REL_TOL, _in_range, _nonzero_charge, as_charge, systole_upper, volume_roots
 
 FORWARD = "forward"
@@ -322,8 +321,7 @@ def exchange_graph(rs: RootSystem, max_depth: int) -> ExchangeGraph:
     bytes.  As l(ws) = l(w) +- 1, a target is either in the previous level
     or new.
     """
-    if isinstance(max_depth, bool) or not isinstance(max_depth, numbers.Integral):
-        raise ValueError(f"max_depth must be an integer, got {max_depth!r}")
+    _check_int("max_depth", max_depth)
     if max_depth < 1:
         raise ValueError(f"max_depth must be at least 1, got {max_depth}")
     n, key = rs.rank, f"V{rs.rank}"
@@ -412,6 +410,8 @@ def verify_action_equivariance(
     by exp(2 pi Im zeta); the volume is unchanged by the reflection at every
     vertex; and the ratio sys^2/vol is invariant under rescaling.
     """
+    _check_int("trials", trials)
+    _check_seed(seed)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     z0 = _nonzero_charge(rs, Z)

@@ -167,31 +167,6 @@ def read_config(path: str) -> dict:
     return values
 
 
-_INT_KEYS = {"rank", "seed", "count", "restarts", "depth"}
-_FLAG_KEYS = {"correspond"}
-
-
-def apply_config(args: argparse.Namespace, config: dict) -> None:
-    """Fill unset options from a config mapping; explicit flags win."""
-    for key, raw in config.items():
-        if not hasattr(args, key):
-            continue
-        current = getattr(args, key)
-        if key in _FLAG_KEYS:
-            if current is False and raw.lower() in ("1", "true", "yes"):
-                setattr(args, key, True)
-            continue
-        if current is not None:
-            continue
-        if key in _INT_KEYS:
-            try:
-                setattr(args, key, int(raw))
-            except ValueError:
-                raise CLIError(f"config key {key}: expected an integer, got {raw!r}") from None
-        else:
-            setattr(args, key, raw)
-
-
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
@@ -350,7 +325,8 @@ class Command:
     """One subcommand.  `ade` adds --family/--rank and hands the handler the
     root system; `options` are (flag, add_argument kwargs) pairs; `outputs`
     maps each mode beyond human/json, and any mode whose `RENDERERS` entry
-    it replaces, to a renderer of the payload and `Report.source`."""
+    it replaces, to a renderer of the payload and `Report.source`.  Its
+    `--output` takes exactly the modes of `RENDERERS` and `outputs`."""
 
     handler: Callable[[argparse.Namespace, roots.RootSystem | None], Report]
     help: str
@@ -401,8 +377,6 @@ COMMANDS = {
     "correspond": Command(_correspond, "geometric/categorical matching report", ade=False, options=_POINTS),
 }
 
-OUTPUTS = tuple(dict.fromkeys([*RENDERERS, *(mode for c in COMMANDS.values() for mode in c.outputs)]))
-
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors are bad input like any other: exit 1, not argparse's 2."""
@@ -414,11 +388,10 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value file supplying default options")
-    common.add_argument("--output", choices=OUTPUTS)
     common.add_argument("--out-file")
 
     ade = argparse.ArgumentParser(add_help=False)
-    ade.add_argument("--family", choices=["A", "D", "E", "a", "d", "e"])
+    ade.add_argument("--family", type=str.upper, choices=roots.FAMILIES)
     ade.add_argument("--rank", type=int)
 
     parser = _Parser(
@@ -429,40 +402,53 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         parents = [common, ade] if command.ade else [common]
         p = sub.add_parser(name, parents=parents, help=command.help)
+        p.add_argument("--output", choices=tuple({**RENDERERS, **command.outputs}), default="human")
         for flag, kwargs in command.options:
             p.add_argument(flag, **kwargs)
     return parser
 
 
-# Options whose value may start with "-".  argparse (3.10-3.12) takes a
-# following "-1" or "-1.5" as a value but not "-1+1i", so such a token is
-# attached to the flag as "--charge=-1+1i" before parsing.
-_SIGNED_FLAGS = ("--charge", "--points", "--poly")
-
-
 def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Join a value that starts with "-" and a digit or "." to the long option
+    just before it: argparse (3.10-3.12) takes a following "-1" or "-1.5" as
+    a value but not "-1+1i", while "--charge=-1+1i" (or "--ch=-1+1i", a unique
+    prefix) parses whatever the value."""
     attached = []
     for token in argv:
         signed = token[:1] == "-" and token[1:2] in tuple("0123456789.")
-        if signed and attached and attached[-1] in _SIGNED_FLAGS:
+        if signed and attached and attached[-1][:2] == "--" and "=" not in attached[-1]:
             attached[-1] += "=" + token
         else:
             attached.append(token)
     return attached
 
 
+def _config_tokens(args: argparse.Namespace, config: dict) -> list[str]:
+    """A config file's options of this command as command-line tokens: a
+    store_true flag is bare when its value is 1, true or yes."""
+    tokens, options = [], vars(args)
+    for key, value in config.items():
+        if key in ("command", "config") or key not in options:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(options[key], bool):
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes"):
+            tokens.append(flag)
+    return tokens
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
+    parser, argv = build_parser(), _attach_signed_values(sys.argv[1:] if argv is None else argv)
+    args = parser.parse_args(argv)
     if args.config:
-        apply_config(args, read_config(args.config))
+        # Explicit flags come after the file's, so they win.
+        args = parser.parse_args(argv[:1] + _config_tokens(args, read_config(args.config)) + argv[1:])
     command = COMMANDS[args.command]
-    output = args.output or "human"
-    if output not in (*RENDERERS, *command.outputs):
-        raise CLIError(f"{output} output is not available for this command")
     inputs, rs = {}, None
     if command.ade:
         _require(args, "family", "rank")
-        ade = roots.AdeType(args.family.upper(), args.rank)
+        ade = roots.AdeType(args.family, args.rank)
         inputs = {"family": ade.family, "rank": ade.rank}
         rs = roots.build_root_system(ade)
     report = command.handler(args, rs)
@@ -473,7 +459,7 @@ def run(argv=None) -> int:
         "inputs": {k: v for k, v in inputs.items() if v is not None},
         **report.fields,
     }
-    render = {**RENDERERS, **command.outputs}[output]
+    render = {**RENDERERS, **command.outputs}[args.output]
     emit(render(payload, report.source), args.out_file)
     return EXIT_OK if report.ok else EXIT_VIOLATION
 

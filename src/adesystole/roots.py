@@ -13,6 +13,7 @@ vertex n-2, and types E6/E7/E8 use the Bourbaki numbering (chain
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -28,6 +29,19 @@ _E_COXETER = {6: 12, 7: 18, 8: 30}
 _E_ROOT_COUNT = {6: 36, 7: 63, 8: 120}
 
 MAX_RANK_AD = 32
+
+
+def _check_int(name: str, value) -> None:
+    """ValueError unless `value` is an integer; a bool, float or string is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_seed(seed) -> None:
+    """ValueError unless `seed` is an integer that numpy's generators take."""
+    _check_int("seed", seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from adesystole.roots import RootSystem
+from adesystole.roots import RootSystem, _check_int, _check_seed
 from adesystole.stability import _root_moduli, _volume, systole_lower
 
 # Phases are kept this far inside (0, 1); the supremum can sit on the wall.
@@ -77,15 +77,12 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("sample_count", "seed", "restarts", "max_iters"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_int(name, getattr(self, name))
         if not 1 <= self.sample_count <= MAX_SAMPLE_COUNT:
             raise ValueError(
                 f"sample_count must be between 1 and {MAX_SAMPLE_COUNT:,}, got {self.sample_count}"
             )
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        _check_seed(self.seed)
         if not 1 <= self.restarts <= MAX_SAMPLE_COUNT:
             raise ValueError(f"restarts must be between 1 and {MAX_SAMPLE_COUNT:,}, got {self.restarts}")
         if self.max_iters < 1:

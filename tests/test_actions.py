@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from itertools import cycle
 
 import numpy as np
@@ -688,6 +689,29 @@ def test_equivariance_rejects_bad_inputs():
         verify_action_equivariance(A2, [1j, 1j], 1j, trials=0)
     with pytest.raises(ValueError, match="systole squared"):
         verify_action_equivariance(A2, [1e-200j, 1j], 0)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"trials": True}, "trials must be an integer, got True"),
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"trials": "3"}, "trials must be an integer, got '3'"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": False}, "seed must be an integer, got False"),
+        ({"seed": -1}, "seed must be a 64-bit unsigned integer, got -1"),
+        ({"seed": 2**64}, "seed must be a 64-bit unsigned integer, got 18446744073709551616"),
+    ],
+    ids=["trials-bool", "trials-float", "trials-str", "seed-float", "seed-bool", "seed-negative", "seed-2**64"],
+)
+def test_equivariance_rejects_bool_non_integer_and_out_of_range_trials_and_seed(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_action_equivariance(A2, [1j, 2j], 0.75, **kwargs)
+
+
+def test_equivariance_takes_numpy_integers_and_the_largest_seed():
+    report = verify_action_equivariance(A2, [1j, 2j], 0.75, trials=np.int64(3), seed=2**64 - 1)
+    assert report.trials == 3 and report.passed
 
 
 def test_equivariance_charges_out_of_float_range_are_bad_input():

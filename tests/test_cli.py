@@ -628,6 +628,10 @@ def test_invalid_inputs_exit_one(capsys, argv):
         ("milnor", "--correspond", "--points", "-1+0i,1+0i,0.5i"),
         ("correspond", "--poly", "-1+0i"),
         ("correspond", "--poly", "-0+0i,-1+0i"),
+        # A unique prefix of the flag, as argparse allows.
+        ("correspond", "--pol", "-1+0i"),
+        ("milnor", "--poi", "-1+0i,1+0i"),
+        ("volume", "--family", "A", "--rank", "2", "--ch", "-1+1i,2i"),
     ],
     ids=" ".join,
 )
@@ -648,6 +652,11 @@ def test_a_flag_followed_by_another_flag_still_lacks_its_value(capsys, flag):
     head = ("volume", "--family", "A", "--rank", "2") if flag == "--charge" else ("correspond",)
     code, out, err = run_cli(capsys, *head, flag, "--output", "json")
     assert (code, out, err) == (1, "", f"error: argument {flag}: expected one argument\n")
+
+
+def test_a_signed_token_after_a_flag_with_its_value_is_not_joined_to_it(capsys):
+    argv = ("volume", "--family", "A", "--rank", "2", "--charge=1i,1i", "-1")
+    assert run_cli(capsys, *argv) == (1, "", "error: unrecognized arguments: -1\n")
 
 
 @pytest.mark.parametrize(
@@ -709,6 +718,55 @@ def test_closed_pipe_ends_quietly_with_status_zero(argv):
         assert (code, proc.stderr.read()) == (0, b"")
 
 
+# Output modes each command accepts; every other mode is a usage error.
+OUTPUT_MODES = {
+    "roots": {"human", "json"},
+    "identity": {"human", "json"},
+    "volume": {"human", "json"},
+    "systole": {"human", "json"},
+    "inequality": {"human", "json"},
+    "sample": {"human", "json", "csv"},
+    "optimize": {"human", "json", "csv"},
+    "tilt-graph": {"human", "json", "dot"},
+    "milnor": {"human", "json"},
+    "correspond": {"human", "json"},
+}
+
+OUTPUT_MODE_ARGS = {
+    "volume": ("--charge", "1i,1i"),
+    "systole": ("--charge", "1i,1i"),
+    "inequality": ("--charge", "1i,1i"),
+    "sample": ("--count", "20"),
+    "optimize": ("--restarts", "1"),
+    "tilt-graph": ("--depth", "2"),
+    "milnor": ("--points", "1+0i,-1+0i"),
+    "correspond": ("--points", "1+0i,-1+0i"),
+}
+
+
+def test_output_modes_table_covers_every_command():
+    assert set(OUTPUT_MODES) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("mode", ["human", "json", "csv", "dot"])
+@pytest.mark.parametrize("command", list(OUTPUT_MODES))
+def test_each_command_accepts_only_its_output_modes(capsys, command, mode):
+    ade = ("--family", "A", "--rank", "2") if cli.COMMANDS[command].ade else ()
+    code, out, err = run_cli(capsys, command, *ade, *OUTPUT_MODE_ARGS.get(command, ()), "--output", mode)
+    if mode in OUTPUT_MODES[command]:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: argument --output: invalid choice")
+
+
+def test_help_lists_each_commands_own_output_modes(capsys):
+    for command, shows_csv in (("sample", True), ("roots", False)):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        assert ("csv" in capsys.readouterr().out) == shows_csv
+
+
 # == Config files ============================================================
 
 def test_config_file_supplies_defaults(capsys, tmp_path):
@@ -735,6 +793,57 @@ def test_config_output_mode_is_checked(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("on_command_line", [False, True])
+def test_config_flag_yes_sets_it_with_or_without_the_flag(capsys, tmp_path, on_command_line):
+    config = tmp_path / "run.cfg"
+    config.write_text("points = -1+0i,1+0i,0.5i\ncorrespond = yes\n")
+    flag = ["--correspond"] if on_command_line else []
+    code, payload = run_json(capsys, "milnor", "--config", str(config), *flag)
+    assert code == 0
+    assert payload["correspondence"]["passed"] is True
+
+
+def test_config_flag_no_leaves_it_unset(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("points = -1+0i,1+0i,0.5i\ncorrespond = no\n")
+    code, payload = run_json(capsys, "milnor", "--config", str(config))
+    assert code == 0
+    assert "correspondence" not in payload
+
+
+def test_config_values_get_the_flags_types(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("family = A\nrank = x\n")
+    code, out, err = run_cli(capsys, "roots", "--config", str(config))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: argument --rank")
+
+
+def test_config_family_is_case_insensitive(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("family = d\nrank = 4\n")
+    code, payload = run_json(capsys, "identity", "--config", str(config))
+    assert code == 0
+    assert payload["inputs"]["family"] == "D"
+
+
+def test_config_command_and_config_keys_are_ignored(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("family = A\nrank = 2\ncommand = sample\nconfig = other.cfg\n")
+    code, payload = run_json(capsys, "roots", "--config", str(config))
+    assert code == 0
+    assert payload["command"] == "roots"
+    assert payload["inputs"] == {"family": "A", "rank": 2}
+
+
+def test_config_output_mode_must_be_the_commands(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("family = A\nrank = 2\noutput = csv\n")
+    code, out, err = run_cli(capsys, "roots", "--config", str(config))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: argument --output: invalid choice")
 
 
 def test_config_file_bad_line(capsys, tmp_path):
