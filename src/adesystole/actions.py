@@ -22,7 +22,9 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from adesystole.roots import RootClass, RootSystem, _bareiss, _check_int, _check_seed
-from adesystole.stability import REL_TOL, _in_range, _nonzero_charge, as_charge, systole_upper, volume_roots
+from adesystole.stability import (
+    REL_TOL, _in_range, _nonzero_charge, as_charge, check_inequality, systole_upper, volume_roots,
+)
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -436,17 +438,14 @@ def verify_action_equivariance(
 
     sys_err = vol_err = ref_err = ratio_err = 0.0
     for z, zt in pairs:
-        sys0 = systole_upper(rs, z)
-        vol0 = volume_roots(rs, z)
-        scaled = act_scaling(z, zt)
+        before = check_inequality(rs, z)
+        after = check_inequality(rs, act_scaling(z, zt))
         mult = math.exp(math.pi * zt.imag)
-        sys_err = max(sys_err, _rel_err(systole_upper(rs, scaled), mult * sys0))
-        vol_err = max(vol_err, _rel_err(volume_roots(rs, scaled), mult**2 * vol0))
+        sys_err = max(sys_err, _rel_err(after.sys_upper, mult * before.sys_upper))
+        vol_err = max(vol_err, _rel_err(after.volume, mult**2 * before.volume))
         for i in range(1, rs.rank + 1):
-            ref_err = max(ref_err, _rel_err(volume_roots(rs, reflect_charge(rs, i, z)), vol0))
-        ratio0 = sys0**2 / vol0
-        ratio1 = systole_upper(rs, scaled) ** 2 / volume_roots(rs, scaled)
-        ratio_err = max(ratio_err, abs(ratio1 - ratio0) / max(1.0, abs(ratio0)))
+            ref_err = max(ref_err, _rel_err(volume_roots(rs, reflect_charge(rs, i, z)), before.volume))
+        ratio_err = max(ratio_err, _rel_err(after.ratio_upper, before.ratio_upper))
     return EquivarianceReport(
         trials=len(pairs),
         sys_scaling_error=sys_err,

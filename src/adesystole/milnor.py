@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from adesystole.roots import MAX_RANK_AD, AdeType, build_root_system
+from adesystole.roots import MAX_RANK_AD, AdeType, _check_int, build_root_system
 from adesystole.stability import _NORMAL_MIN, _in_range
 
 DISTINCT_REL_TOL = 1e-12
@@ -98,8 +98,7 @@ def validate_configuration(raw_points, ordering=None) -> PointConfiguration:
     else:
         order = tuple(ordering)
         for k, entry in enumerate(order, 1):
-            if isinstance(entry, bool) or not isinstance(entry, (int, np.integer)):
-                raise ValueError(f"ordering entry {k} must be an integer, got {entry!r}")
+            _check_int(f"ordering entry {k}", entry)
         if sorted(order) != list(range(len(pts))):
             raise ValueError(f"ordering must be a permutation of 0..{len(pts) - 1}")
         order = tuple(map(int, order))

@@ -54,9 +54,9 @@ class AdeType:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if isinstance(self.rank, bool) or not isinstance(self.rank, int):
-            raise ValueError(f"rank must be an integer, got {self.rank!r}")
-        n = self.rank
+        _check_int("rank", self.rank)
+        n = int(self.rank)
+        object.__setattr__(self, "rank", n)  # a numpy rank is stored, hashed and dumped as an int
         if self.family == "A" and not 1 <= n <= MAX_RANK_AD:
             raise ValueError(f"type A requires 1 <= rank <= {MAX_RANK_AD}, got {n}")
         if self.family == "D" and not 4 <= n <= MAX_RANK_AD:

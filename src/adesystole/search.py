@@ -14,10 +14,11 @@ charges.  The optimizer is a derivative-free coordinate pattern search:
 the ratio is invariant under rescaling, so the volume is gauge-fixed to
 1 and the squared systole bound is pushed as high as it will go.
 
-A trial move changes one charge entry.  By the coefficient identity
-C^-1 = R^T R / h the volume is the Hermitian form z* C^-1 z, so with
-w = C^-1 z kept per point, a trial's volume and ratio are known in O(1)
-instead of one product over the positive roots.  The estimate is screened
+A trial move changes one charge entry, `_charge` of one phase and
+log-radius.  By the coefficient identity C^-1 = R^T R / h the volume is
+the Hermitian form z* C^-1 z, so with w = C^-1 z kept per point, a
+trial's volume and ratio are known in O(1) instead of one product over
+the positive roots.  The estimate is screened
 against an a-priori rounding bound (gamma-type, in units of
 u = 2^-53 times |z|^T C^-1 |z|; see `_trial_ratio_bound`), and only a
 trial whose bounded ratio could beat the current one, or go over the
@@ -36,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from adesystole.roots import RootSystem, _check_int, _check_seed
-from adesystole.stability import _root_moduli, _volume, systole_lower
+from adesystole.stability import _root_moduli, _volume, check_inequality
 
 # Phases are kept this far inside (0, 1); the supremum can sit on the wall.
 PHASE_MARGIN = 1e-7
@@ -149,13 +150,17 @@ def _streams(seed: int, count: int, rank: int, row: int = 0):
     )
 
 
+def _charge(phase: np.ndarray, log_r: np.ndarray) -> np.ndarray:
+    """The charge entries r * exp(i pi phi) at phases phi and log10 r."""
+    return 10.0**log_r * np.exp(1j * np.pi * phase)
+
+
 def _draw(streams, rows: int, rank: int) -> np.ndarray:
     """The next `rows` charges of the two streams."""
     phase_rng, radius_rng = streams
     phase = phase_rng.uniform(0.0, 1.0, size=(rows, rank))
     phase[phase == 0.0] = 0.5  # measure-zero guard: phases live in the open interval
-    log_r = radius_rng.uniform(*_LOG_R_RANGE, size=(rows, rank))
-    return 10.0**log_r * np.exp(1j * np.pi * phase)
+    return _charge(phase, radius_rng.uniform(*_LOG_R_RANGE, size=(rows, rank)))
 
 
 def _row_reduce(op: np.ufunc, values: np.ndarray, out: np.ndarray, narrow: int) -> None:
@@ -199,16 +204,19 @@ def sample_ratios(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
     vol /= rs.coxeter
     ratios = sys_up**2
     ratios /= vol
-    bound = rs.bound
-    bound_f = float(bound)
-    violating = int((ratios > bound_f * (1.0 + VIOLATION_REL_TOL)).sum())
-    best = int(np.argmax(ratios))
+    violating = int((ratios > float(rs.bound) * (1.0 + VIOLATION_REL_TOL)).sum())
+    best_charge = _draw(_streams(cfg.seed, count, n, int(np.argmax(ratios))), 1, n)[0]
+    return _result(rs, ratios, sys_up, sys_lo, vol, best_charge, violating)
+
+
+def _result(rs, ratios, sys_up, sys_lo, vol, best_charge, violating) -> SearchResult:
+    """The SearchResult of per-point ratios, bounds and volumes."""
     return SearchResult(
-        best_ratio=float(ratios[best]),
-        best_charge=_draw(_streams(cfg.seed, count, n, best), 1, n)[0],
+        best_ratio=float(ratios.max()),
+        best_charge=best_charge,
         samples_violating=violating,
-        histogram=_histogram(ratios, bound_f),
-        bound=bound,
+        histogram=_histogram(ratios, float(rs.bound)),
+        bound=rs.bound,
         ratios=ratios,
         sys_upper=sys_up,
         sys_lower=sys_lo,
@@ -216,26 +224,16 @@ def sample_ratios(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
     )
 
 
-def _charge_from_params(x: np.ndarray, rank: int) -> np.ndarray:
-    return 10.0 ** x[rank:] * np.exp(1j * np.pi * x[:rank])
-
-
-def _entry(x: np.ndarray, rank: int, k: int) -> np.ndarray:
-    """Charge entry k of the parameters x, by `_charge_from_params`'
-    expression on one element."""
-    return 10.0 ** x[rank + k : rank + k + 1] * np.exp(1j * np.pi * x[k : k + 1])
-
-
 def _ratio_parts(rs: RootSystem, z: np.ndarray) -> tuple[float, float, float]:
-    """(ratio, sys_upper, volume) of a charge; a trial needs only the ratio."""
+    """(ratio, sys_upper, volume) of a charge: a start or a trial of the search."""
     vol = _volume(rs, _root_moduli(rs, z))
     sys_up = float(np.minimum.reduce(np.abs(z)))
     return sys_up**2 / vol, sys_up, vol
 
 
-# A trial entry from `cmath` and numpy's `_entry` differ by a few ulps of
-# pow and exp (numpy's AVX-512 loops allow 4, libm's 1); the screen allows
-# a relative gap of 2^-47 and widens moduli and ratios by 2^-46.
+# A trial entry from `cmath` and numpy's `_charge` of one entry differ by a
+# few ulps of pow and exp (numpy's AVX-512 loops allow 4, libm's 1); the
+# screen allows a relative gap of 2^-47 and widens moduli and ratios by 2^-46.
 _ENTRY_GAP = 2.0**-47
 _WIDEN = 1.0 + 2.0 * _ENTRY_GAP
 
@@ -289,7 +287,7 @@ def _point(rs: RootSystem, z: np.ndarray, vol: float) -> _Point:
 
 def _trial_ratio_bound(point: _Point, k: int, phase: float, log_r: float) -> float:
     """An upper bound on the ratio `_ratio_parts` returns for the current
-    point with entry k replaced by `_entry` of (phase, log_r), or inf.
+    point with entry k replaced by `_charge` of (phase, log_r), or inf.
 
     By the coefficient identity C^-1 = R^T R / h the volume is the
     Hermitian form z* C^-1 z, so moving entry k by delta adds
@@ -332,42 +330,33 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
     reports the per-restart bests (see SearchResult for what each field
     counts).
 
-    A move changes one coordinate of x, which stays inside its box, so a
-    trial clamps that coordinate alone.  A trial clamped onto the current
-    point is known without evaluation once its entry is fresh, i.e.
-    `_entry` of the current parameters reproduces it bit for bit.  Any
-    other trial is first screened: `_trial_ratio_bound` bounds its ratio
-    from above in O(1), and only a trial whose bound reaches
-    min(ratio, limit) is evaluated exactly, by `_entry` and
-    `_ratio_parts`.  A screened-out trial would be neither accepted nor
-    counted as violating, so every result is bit-identical to evaluating
-    every trial.
+    The point is `params`, its charge z, its `fresh` entries and the
+    screen's `point`.  A move changes one coordinate of `params`, which
+    stays inside its box, so a trial clamps that coordinate alone.  A
+    trial clamped onto the current point is known without evaluation once
+    its entry is fresh, i.e. `_charge` of its parameters reproduces it bit
+    for bit.  Any other trial is screened: `_trial_ratio_bound` bounds its
+    ratio in O(1), and only a trial whose bound reaches min(ratio, limit)
+    is evaluated exactly, by `_charge` of its entry and `_ratio_parts`.  A
+    screened-out trial would be neither accepted nor counted as violating,
+    so every result is bit-identical to evaluating every trial.  Each
+    restart is reported by one `check_inequality`.
     """
     rng = np.random.default_rng(cfg.seed)
     n = rs.rank
-    bound = rs.bound
-    bound_f = float(bound)
-    limit = bound_f * (1.0 + VIOLATION_REL_TOL)
+    limit = float(rs.bound) * (1.0 + VIOLATION_REL_TOL)
     box = [(PHASE_MARGIN, 1.0 - PHASE_MARGIN)] * n + [_LOG_R_RANGE] * n
-
-    best_per_restart = np.empty(cfg.restarts)
-    sys_up_per = np.empty(cfg.restarts)
-    sys_lo_per = np.empty(cfg.restarts)
-    vol_per = np.empty(cfg.restarts)
-    violating = 0
-    best_ratio = -np.inf
-    best_z = best_vol = None
-
+    table = np.empty((4, cfg.restarts))  # each restart's ratio, sys_upper, sys_lower, volume
+    violating, best_ratio = 0, -math.inf
     for restart in range(cfg.restarts):
-        x = np.empty(2 * n)
-        x[:n] = rng.uniform(PHASE_MARGIN, 1.0 - PHASE_MARGIN, size=n)
-        x[n:] = rng.uniform(*_LOG_R_RANGE, size=n)
-        z = _charge_from_params(x, n)
+        phase = rng.uniform(PHASE_MARGIN, 1.0 - PHASE_MARGIN, size=n)
+        log_r = rng.uniform(*_LOG_R_RANGE, size=n)
+        z = _charge(phase, log_r)
         ratio, _, vol = _ratio_parts(rs, z)
-        if ratio > limit:
-            violating += 1
-        params = x.tolist()
-        fresh = [_entry(x, n, k).tobytes() == z[k : k + 1].tobytes() for k in range(n)]
+        violating += ratio > limit
+        params = phase.tolist() + log_r.tolist()
+        fresh = [_charge(phase[k : k + 1], log_r[k : k + 1]).tobytes() == z[k : k + 1].tobytes()
+                 for k in range(n)]
         point = _point(rs, z, vol)
         cutoff = min(ratio, limit)
         step = cfg.step_init
@@ -378,25 +367,18 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
                 for sign in (1.0, -1.0):
                     value = min(max(params[dim] + sign * step, lo), hi)
                     if value == params[dim] and fresh[k]:
-                        if ratio > limit:  # the trial is the current point
-                            violating += 1
+                        violating += ratio > limit  # the trial is the current point
                         continue
-                    if dim < n:
-                        screened = _trial_ratio_bound(point, k, value, params[n + k])
-                    else:
-                        screened = _trial_ratio_bound(point, k, params[k], value)
-                    if screened < cutoff:
-                        continue
-                    trial = x.copy()
+                    trial = params.copy()
                     trial[dim] = value
+                    if _trial_ratio_bound(point, k, trial[k], trial[n + k]) < cutoff:
+                        continue
                     trial_z = z.copy()
-                    trial_z[k : k + 1] = _entry(trial, n, k)
+                    trial_z[k : k + 1] = _charge(np.array([trial[k]]), np.array([trial[n + k]]))
                     trial_ratio, _, trial_vol = _ratio_parts(rs, trial_z)
-                    if trial_ratio > limit:
-                        violating += 1
+                    violating += trial_ratio > limit
                     if trial_ratio > ratio:
-                        x, z, ratio = trial, trial_z, trial_ratio
-                        params[dim] = value
+                        params, z, ratio = trial, trial_z, trial_ratio
                         fresh[k] = True
                         point = _point(rs, z, trial_vol)
                         cutoff = min(ratio, limit)
@@ -405,22 +387,9 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
                 step /= 2.0
                 if step < cfg.step_min:
                     break
-        ratio, sys_up, vol = _ratio_parts(rs, z)
-        best_per_restart[restart] = ratio
-        sys_up_per[restart] = sys_up
-        sys_lo_per[restart] = systole_lower(rs, z)
-        vol_per[restart] = vol
-        if ratio > best_ratio:
-            best_ratio, best_z, best_vol = ratio, z, vol
+        report = check_inequality(rs, z)
+        table[:, restart] = report.ratio_upper, report.sys_upper, report.sys_lower, report.volume
+        if report.ratio_upper > best_ratio:  # gauge: report the volume-1 representative
+            best_ratio, best_charge = report.ratio_upper, z / np.sqrt(report.volume)
 
-    return SearchResult(
-        best_ratio=float(best_ratio),
-        best_charge=best_z / np.sqrt(best_vol),  # gauge: report the volume-1 representative
-        samples_violating=violating,
-        histogram=_histogram(best_per_restart, bound_f),
-        bound=bound,
-        ratios=best_per_restart,
-        sys_upper=sys_up_per,
-        sys_lower=sys_lo_per,
-        volumes=vol_per,
-    )
+    return _result(rs, *table, best_charge, violating)

@@ -674,6 +674,55 @@ def test_equivariance_random_trials(ade):
     assert report.ratio_error <= 1e-12
 
 
+def _reference_equivariance(rs, z0, zeta, trials, seed):
+    """The per-call kernels' loop: three systole_upper and three
+    volume_roots calls per pair, plus one volume_roots per reflection."""
+
+    def rel_err(measured, expected):
+        return abs(measured - expected) / max(1.0, abs(expected))
+
+    rng = np.random.default_rng(seed)
+    pairs = [(np.asarray(z0, dtype=complex), complex(zeta))]
+    for _ in range(trials - 1):
+        z = rng.standard_normal(rs.rank) + 1j * rng.standard_normal(rs.rank)
+        while not z.all():
+            z = rng.standard_normal(rs.rank) + 1j * rng.standard_normal(rs.rank)
+        pairs.append((z, complex(rng.uniform(-2, 2), rng.uniform(-1, 1))))
+    sys_err = vol_err = ref_err = ratio_err = 0.0
+    for z, zt in pairs:
+        sys0 = systole_upper(rs, z)
+        vol0 = volume_roots(rs, z)
+        scaled = act_scaling(z, zt)
+        mult = math.exp(math.pi * zt.imag)
+        sys_err = max(sys_err, rel_err(systole_upper(rs, scaled), mult * sys0))
+        vol_err = max(vol_err, rel_err(volume_roots(rs, scaled), mult**2 * vol0))
+        for i in range(1, rs.rank + 1):
+            ref_err = max(ref_err, rel_err(volume_roots(rs, reflect_charge(rs, i, z)), vol0))
+        ratio0 = sys0**2 / vol0
+        ratio1 = systole_upper(rs, scaled) ** 2 / volume_roots(rs, scaled)
+        ratio_err = max(ratio_err, abs(ratio1 - ratio0) / max(1.0, abs(ratio0)))
+    return actions.EquivarianceReport(
+        trials=len(pairs),
+        sys_scaling_error=sys_err,
+        vol_scaling_error=vol_err,
+        reflect_error=ref_err,
+        ratio_error=ratio_err,
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 2024])
+@pytest.mark.parametrize("ade", ALL_TYPES, ids=str)
+def test_equivariance_report_matches_the_per_kernel_loop(ade, seed):
+    # One check_inequality per charge gives the same bits as the kernels.
+    rs = build_root_system(ade)
+    rng = np.random.default_rng([seed, rs.rank])
+    z0 = rng.standard_normal(rs.rank) + 1j * rng.standard_normal(rs.rank)
+    zeta = complex(rng.uniform(-2, 2), rng.uniform(-3, 3))
+    report = verify_action_equivariance(rs, z0, zeta, trials=5, seed=seed)
+    assert report == _reference_equivariance(rs, z0, zeta, 5, seed)
+    assert report.trials == 5 and report.passed
+
+
 def test_equivariance_reflect_invariance_each_vertex():
     rng = np.random.default_rng(77)
     z = rng.standard_normal(4) + 1j * rng.standard_normal(4)

@@ -7,6 +7,7 @@ Independent oracles used here:
 """
 
 import dataclasses
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +62,25 @@ def test_bool_rank_rejected():
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 32), ("D", 4), ("D", 32), ("E", 6)])
 def test_valid_types_accepted(family, rank):
     assert AdeType(family, rank).rank == rank
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8, np.intp])
+def test_numpy_integer_rank_is_stored_as_an_int(integer):
+    ade = AdeType("A", integer(3))
+    assert type(ade.rank) is int
+    assert ade == AdeType("A", 3) and hash(ade) == hash(AdeType("A", 3))
+    assert str(ade) == "A3"
+    assert build_root_system(ade) is build_root_system(AdeType("A", 3))
+    assert json.loads(json.dumps(dataclasses.asdict(ade))) == {"family": "A", "rank": 3}
+    with pytest.raises(ValueError, match="type D requires 4 <= rank <= 32, got 3"):
+        AdeType("D", integer(3))
+
+
+@pytest.mark.parametrize("rank", [True, False, 3.0, 2.5, "3", None, Fraction(3), np.float64(3)])
+def test_non_integer_rank_keeps_its_message(rank):
+    with pytest.raises(ValueError) as info:
+        AdeType("A", rank)
+    assert str(info.value) == f"rank must be an integer, got {rank!r}"
 
 
 def test_coxeter_table():

@@ -376,13 +376,40 @@ def test_optimize_counts_every_violating_trial(monkeypatch, family, rank, seed, 
 
 # == Trial screen ============================================================
 
+@pytest.mark.parametrize(
+    "family, rank, seed, restarts, screened",
+    [("A", 2, 7, 8, 2271), ("A", 8, 0, 2, 4038), ("D", 16, 3, 1, 10161), ("E", 8, 0, 1, 4428)],
+)
+def test_the_screen_drops_most_trials(monkeypatch, family, rank, seed, restarts, screened):
+    # The results cannot tell a search that screens from one that evaluates
+    # every trial, about 5x slower.  The screen sees every trial that is not
+    # a no-op, a count fixed by the search path and by float compares; each
+    # start and each trial the screen lets through is one `_ratio_parts`.
+    # Exact evaluations are bounded, not pinned: `_point`'s BLAS product can
+    # move a near-tie trial across the screen on another numpy.
+    calls = {"screen": 0, "exact": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(search, "_trial_ratio_bound", counted("screen", search._trial_ratio_bound))
+    monkeypatch.setattr(search, "_ratio_parts", counted("exact", search._ratio_parts))
+    rs = build_root_system(AdeType(family, rank))
+    optimize_ratio(rs, SearchConfig(seed=seed, restarts=restarts))
+    assert calls["screen"] == screened
+    assert 0 < calls["exact"] - restarts <= screened / 3
+
+
 def _start(rs, rng, log_r=(-3.0, 3.0)):
     """Parameters, charge and root-route volume of a point like the search's."""
     n = rs.rank
     x = np.empty(2 * n)
     x[:n] = rng.uniform(search.PHASE_MARGIN, 1.0 - search.PHASE_MARGIN, size=n)
     x[n:] = rng.uniform(*log_r, size=n)
-    z = search._charge_from_params(x, n)
+    z = search._charge(x[:n], x[n:])
     return x, z, search._ratio_parts(rs, z)[2]
 
 
@@ -393,7 +420,7 @@ def _assert_bound_holds(rs, x, z, vol, k, phase, log_r):
     trial = x.copy()
     trial[k], trial[n + k] = phase, log_r
     trial_z = z.copy()
-    trial_z[k : k + 1] = search._entry(trial, n, k)
+    trial_z[k : k + 1] = search._charge(trial[k : k + 1], trial[n + k : n + k + 1])
     exact = search._ratio_parts(rs, trial_z)[0]
     bound = search._trial_ratio_bound(search._point(rs, z, vol), k, phase, log_r)
     assert bound >= exact, (str(rs.ade), k, phase, log_r, bound, exact)
