@@ -42,7 +42,9 @@ class CLIError(ValueError):
 
 def parse_complex(token: str) -> complex:
     """One 'a+bi' literal: signs, decimals, and exponent notation allowed."""
-    text = token.strip().lower().replace("i", "j")
+    text = token.strip().lower()
+    if text.endswith("i"):
+        text = text[:-1] + "j"
     try:
         value = complex(text)
     except ValueError:
@@ -52,15 +54,15 @@ def parse_complex(token: str) -> complex:
     return value
 
 
-def parse_charge(text: str) -> list[complex]:
-    """Comma-separated complex literals; errors carry the token position."""
+def parse_charge(text: str, option: str) -> list[complex]:
+    """Comma-separated complex literals; errors name the option and the token position."""
     tokens = text.split(",")
     values = []
     for idx, token in enumerate(tokens):
         try:
             values.append(parse_complex(token))
         except CLIError as exc:
-            raise CLIError(f"charge token {idx}: {exc}") from None
+            raise CLIError(f"{option} token {idx}: {exc}") from None
     return values
 
 
@@ -115,10 +117,9 @@ def render_human(payload: dict) -> str:
 
 # Rows of a CSV report rendered per chunk: the report is streamed, so it
 # never holds more than this many rows as text.  The digit kernel
-# (`_csvdigits`) formats `_CSV_BLOCK` rows at a time; its byte and mask
-# arrays take 208 B a row each.
-_CSV_ROWS = 8192
-_CSV_BLOCK = 2048
+# (`_csvdigits`) formats one chunk per call; its byte and mask arrays take
+# 208 B a row each.
+_CSV_ROWS = 2048
 
 
 def render_csv(result: search.SearchResult) -> Iterator[str]:
@@ -132,15 +133,11 @@ def render_csv(result: search.SearchResult) -> Iterator[str]:
     count = len(result.ratios)
     yield "index,ratio,sys_upper,sys_lower,volume"
     tables = _csvdigits._csv_tables()
-    words = np.tile(tables.template, (min(count, _CSV_BLOCK), 1))
+    words = np.tile(tables.template, (min(count, _CSV_ROWS), 1))
     mask = np.empty_like(words)
-    for chunk in range(0, count, _CSV_ROWS):
-        parts = []
-        for start in range(chunk, min(chunk + _CSV_ROWS, count), _CSV_BLOCK):
-            stop = min(start + _CSV_BLOCK, chunk + _CSV_ROWS, count)
-            values = np.column_stack([c[start:stop] for c in columns])
-            parts.append(_csvdigits._csv_block(tables, start, values, words, mask))
-        yield "".join(parts)
+    for start in range(0, count, _CSV_ROWS):
+        values = np.column_stack([c[start : start + _CSV_ROWS] for c in columns])
+        yield _csvdigits._csv_block(tables, start, values, words, mask)
 
 
 def emit(report: str | Iterable[str], out_file: str | None) -> None:
@@ -185,7 +182,7 @@ class Report(NamedTuple):
 
 def _charge(args, rs: roots.RootSystem):
     _require(args, "charge")
-    values = parse_charge(args.charge)
+    values = parse_charge(args.charge, "--charge")
     if len(values) != rs.rank:
         raise CLIError(f"charge has {len(values)} entries, expected {rs.rank}")
     return values
@@ -274,9 +271,9 @@ def _configuration(args) -> milnor.PointConfiguration:
     if args.points is not None and args.poly is not None:
         raise CLIError("give either --points or --poly, not both")
     if args.points is not None:
-        pts = parse_charge(args.points)
+        pts = parse_charge(args.points, "--points")
     elif args.poly is not None:
-        pts = milnor.points_from_coefficients(parse_charge(args.poly))
+        pts = milnor.points_from_coefficients(parse_charge(args.poly, "--poly"))
     else:
         raise CLIError("missing required option --points or --poly")
     return milnor.validate_configuration(pts)

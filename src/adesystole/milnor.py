@@ -23,6 +23,7 @@ from adesystole.stability import _NORMAL_MIN, _in_range
 
 DISTINCT_REL_TOL = 1e-12
 AREA_REL_TOL = 1e-9
+CORRESPONDENCE_REL_TOL = 1e-9
 
 # The triangle check visits n^3/6 triples in Python and the segment-class
 # matrix holds n^3/2 complex entries: 256 points take seconds and about
@@ -152,19 +153,17 @@ class CorrespondenceReport:
     systole_rel_error: float
     volume_rel_error: float
     inequality_slack: float
-    rel_tol: float
 
     @property
     def passed(self) -> bool:
         return (
-            self.systole_rel_error <= self.rel_tol
-            and self.volume_rel_error <= self.rel_tol
-            and self.inequality_slack >= -self.rel_tol * self.volume_geometric
+            self.systole_rel_error <= CORRESPONDENCE_REL_TOL
+            and self.volume_rel_error <= CORRESPONDENCE_REL_TOL
+            and self.inequality_slack >= -CORRESPONDENCE_REL_TOL * self.volume_geometric
         )
 
     def as_dict(self) -> dict:
-        fields = {k: v for k, v in asdict(self).items() if k != "rel_tol"}
-        return {**fields, "passed": self.passed}
+        return {**asdict(self), "passed": self.passed}
 
 
 def _segment_classes(n: int) -> np.ndarray:
@@ -180,7 +179,7 @@ def _segment_classes(n: int) -> np.ndarray:
     return rows[first >= 0].astype(np.complex128)
 
 
-def verify_correspondence(p: PointConfiguration, rel_tol: float = 1e-9) -> CorrespondenceReport:
+def verify_correspondence(p: PointConfiguration) -> CorrespondenceReport:
     """Check the geometric quantities against the induced type-A charge.
 
     The geometric systole must be pi times the lower systole bound of the
@@ -208,7 +207,6 @@ def verify_correspondence(p: PointConfiguration, rel_tol: float = 1e-9) -> Corre
         systole_rel_error=abs(sys_geo - sys_cat) / max(sys_geo, sys_cat),
         volume_rel_error=abs(vol_geo - vol_cat) / max(vol_geo, vol_cat),
         inequality_slack=(p.n + 1) / p.n * vol_geo - sys_geo**2,
-        rel_tol=rel_tol,
     )
 
 

@@ -60,6 +60,11 @@ _BLOCK_BYTES = 1 << 20
 _NARROW_MIN = 8
 _NARROW_SUM = 7
 
+# The pattern search's schedule: first step, the step it stops below, most sweeps.
+STEP_INIT = 0.25
+STEP_MIN = 1e-9
+MAX_ITERS = 200
+
 # About 40 B per sample are held (see the module docstring); 10**8 samples
 # take about 4 GB.  The optimizer holds 32 B per restart, under the same cap.
 MAX_SAMPLE_COUNT = 10**8
@@ -67,17 +72,14 @@ MAX_SAMPLE_COUNT = 10**8
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for sampling and for the pattern search."""
+    """Charges the sampler draws, the seed of every draw, and the pattern search's starts."""
 
     sample_count: int = 1000
     seed: int = 0
     restarts: int = 1
-    step_init: float = 0.25
-    step_min: float = 1e-9
-    max_iters: int = 200
 
     def __post_init__(self):
-        for name in ("sample_count", "seed", "restarts", "max_iters"):
+        for name in ("sample_count", "seed", "restarts"):
             _check_int(name, getattr(self, name))
         if not 1 <= self.sample_count <= MAX_SAMPLE_COUNT:
             raise ValueError(
@@ -86,12 +88,6 @@ class SearchConfig:
         _check_seed(self.seed)
         if not 1 <= self.restarts <= MAX_SAMPLE_COUNT:
             raise ValueError(f"restarts must be between 1 and {MAX_SAMPLE_COUNT:,}, got {self.restarts}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0 < self.step_min < self.step_init:
-            raise ValueError(
-                f"need 0 < step_min < step_init, got {self.step_min} and {self.step_init}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,9 +322,10 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
 
     Parameters are the n phases and n log-moduli; phases are clamped a
     margin inside (0, 1) because the supremum may live on the wall of the
-    heart.  Runs cfg.restarts searches from seeded random starts and
-    reports the per-restart bests (see SearchResult for what each field
-    counts).
+    heart.  Runs cfg.restarts searches from seeded random starts; each
+    starts with step STEP_INIT, halves it after a sweep with no gain and
+    stops once it falls below STEP_MIN or after MAX_ITERS sweeps.  Reports
+    the per-restart bests (see SearchResult for what each field counts).
 
     The point is `params`, its charge z, its `fresh` entries and the
     screen's `point`.  A move changes one coordinate of `params`, which
@@ -359,8 +356,8 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
                  for k in range(n)]
         point = _point(rs, z, vol)
         cutoff = min(ratio, limit)
-        step = cfg.step_init
-        for _ in range(cfg.max_iters):
+        step = STEP_INIT
+        for _ in range(MAX_ITERS):
             improved = False
             for dim, (lo, hi) in enumerate(box):
                 k = dim % n
@@ -385,7 +382,7 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
                         improved = True
             if not improved:
                 step /= 2.0
-                if step < cfg.step_min:
+                if step < STEP_MIN:
                     break
         report = check_inequality(rs, z)
         table[:, restart] = report.ratio_upper, report.sys_upper, report.sys_lower, report.volume

@@ -142,9 +142,9 @@ class SystolicReport:
     bound: Fraction
     slack: float
 
-    def satisfied(self, rel_tol: float = SLACK_REL_TOL) -> bool:
+    def satisfied(self) -> bool:
         """Whether the inequality holds, allowing float round-off."""
-        return self.slack >= -rel_tol * self.volume
+        return self.slack >= -SLACK_REL_TOL * self.volume
 
     def as_dict(self) -> dict:
         return {
@@ -159,13 +159,6 @@ class SystolicReport:
         }
 
 
-def _moduli_and_volume(rs: RootSystem, Z) -> tuple[np.ndarray, float]:
-    """Validate a nonzero charge once; its root moduli and root-sum volume."""
-    z = _nonzero_charge(rs, Z)
-    moduli = _root_moduli(rs, z)
-    return moduli, _in_range(_volume(rs, moduli), z)
-
-
 def check_inequality(rs: RootSystem, Z) -> SystolicReport:
     """Evaluate the systolic inequality sys^2 <= (h/n) vol at the charge Z,
     using the upper systole bound (which dominates the true systole).
@@ -173,7 +166,9 @@ def check_inequality(rs: RootSystem, Z) -> SystolicReport:
     The charge is validated and its root moduli computed once; the first n
     moduli are |Z_i| (the positive roots begin with the simples), so the
     fields equal volume_roots, systole_upper and systole_lower exactly."""
-    moduli, vol = _moduli_and_volume(rs, Z)
+    z = _nonzero_charge(rs, Z)
+    moduli = _root_moduli(rs, z)
+    vol = _in_range(_volume(rs, moduli), z)
     # The minima over the simples and over the roots after them; A1 has no
     # root after its simple, and cuts (0, 0) give its one modulus twice.
     sys_up, rest = np.minimum.reduceat(moduli, (0, rs.rank % len(moduli))).tolist()

@@ -36,19 +36,40 @@ def run_json(capsys, *argv):
 # == Charge parsing ==========================================================
 
 def test_parse_charge_examples():
-    assert cli.parse_charge("0+1i,0+2i") == [1j, 2j]
-    assert cli.parse_charge("1.5e0-0.5i") == [1.5 - 0.5j]
-    assert cli.parse_charge("-1+0i, 2-3i") == [-1 + 0j, 2 - 3j]
-    assert cli.parse_charge("2i,-0.5i") == [2j, -0.5j]
+    assert cli.parse_charge("0+1i,0+2i", "--charge") == [1j, 2j]
+    assert cli.parse_charge("1.5e0-0.5i", "--charge") == [1.5 - 0.5j]
+    assert cli.parse_charge("-1+0i, 2-3i", "--charge") == [-1 + 0j, 2 - 3j]
+    assert cli.parse_charge("2i,-0.5i", "--charge") == [2j, -0.5j]
 
 
 def test_parse_charge_errors_carry_token_index():
     with pytest.raises(cli.CLIError, match="token 0"):
-        cli.parse_charge("abc")
+        cli.parse_charge("abc", "--charge")
     with pytest.raises(cli.CLIError, match="token 1"):
-        cli.parse_charge("1+1i,oops,3i")
+        cli.parse_charge("1+1i,oops,3i", "--charge")
     with pytest.raises(cli.CLIError):
-        cli.parse_charge("inf+1i")
+        cli.parse_charge("inf+1i", "--charge")
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "infinity", "1+infi", "inf+1i"])
+def test_parse_complex_reports_infinities_as_not_finite(token):
+    with pytest.raises(cli.CLIError, match=f"complex literal '{re.escape(token)}' is not finite"):
+        cli.parse_complex(token)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["correspond", "--poly", "1+0i,abc"], "--poly token 1: could not parse complex literal 'abc'"),
+        (["milnor", "--points", "1,nan"], "--points token 1: complex literal 'nan' is not finite"),
+        (["milnor", "--points", "1,inf"], "--points token 1: complex literal 'inf' is not finite"),
+        (["volume", "--family", "A", "--rank", "2", "--charge", "1i,-inf"], "--charge token 1: complex literal '-inf' is not finite"),
+    ],
+    ids=["poly", "points-nan", "points-inf", "charge"],
+)
+def test_parse_errors_name_the_option(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_format_complex_round_trips():
@@ -370,7 +391,7 @@ def test_csv_writer_matches_template_on_samples(family, rank, seed):
     assert_csv_matches_reference(result)
 
 
-@pytest.mark.parametrize("count", [0, 1, 2, cli._CSV_BLOCK - 1, cli._CSV_BLOCK + 1, cli._CSV_ROWS + 1])
+@pytest.mark.parametrize("count", [0, 1, 2, cli._CSV_ROWS - 1, cli._CSV_ROWS + 1, 2 * cli._CSV_ROWS + 1])
 def test_csv_writer_matches_template_at_block_edges(count):
     rng = np.random.default_rng(count)
     values = np.exp(rng.uniform(-40, 40, (4, count)))

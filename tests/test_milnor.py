@@ -467,7 +467,7 @@ def reference_points_from_coefficients(coeffs):
     return [complex(r) for r in roots]
 
 
-def reference_verify_correspondence(p, rel_tol=1e-9):
+def reference_verify_correspondence(p):
     rs = build_root_system(AdeType("A", p.n))
     z = induced_charge(p)
     sys_geo = geometric_systole(p)
@@ -484,7 +484,6 @@ def reference_verify_correspondence(p, rel_tol=1e-9):
         systole_rel_error=abs(sys_geo - sys_cat) / max(sys_geo, sys_cat),
         volume_rel_error=abs(vol_geo - vol_cat) / max(vol_geo, vol_cat),
         inequality_slack=(p.n + 1) / p.n * vol_geo - sys_geo**2,
-        rel_tol=rel_tol,
     )
 
 

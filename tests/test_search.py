@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from adesystole import cli, search
+from adesystole.milnor import validate_configuration, verify_correspondence
 from adesystole.roots import AdeType, build_root_system
 from adesystole.search import SearchConfig, optimize_ratio, sample_ratios, _draw, _streams
 from adesystole.stability import check_inequality, heart_membership, systole_upper, volume_roots
@@ -32,9 +33,6 @@ ALL_TYPES = (
         {"seed": -1},
         {"seed": 2**64},
         {"restarts": 0},
-        {"max_iters": 0},
-        {"step_init": 0.1, "step_min": 0.2},
-        {"step_min": 0.0},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -42,10 +40,22 @@ def test_config_rejects_bad_values(kwargs):
         SearchConfig(**kwargs)
 
 
-@pytest.mark.parametrize("name", ["sample_count", "seed", "restarts", "max_iters"])
+@pytest.mark.parametrize("name", ["sample_count", "seed", "restarts"])
 def test_config_rejects_bool_integers(name):
     with pytest.raises(ValueError):
         SearchConfig(**{name: True})
+
+
+def test_the_search_schedule_and_the_verdict_tolerances_are_not_settable():
+    # They are the constants search.STEP_INIT / STEP_MIN / MAX_ITERS,
+    # milnor.CORRESPONDENCE_REL_TOL and stability.SLACK_REL_TOL.
+    for name, value in (("max_iters", 50), ("step_init", 0.5), ("step_min", 1e-6)):
+        with pytest.raises(TypeError):
+            SearchConfig(**{name: value})
+    with pytest.raises(TypeError):
+        verify_correspondence(validate_configuration([1, -1]), rel_tol=1e-6)
+    with pytest.raises(TypeError):
+        check_inequality(A2, [1j, 1j]).satisfied(1e-6)
 
 
 def test_config_rejects_sample_count_over_memory_limit(capsys):
@@ -301,8 +311,8 @@ def _reference_optimize(rs, cfg):
         x[n:] = rng.uniform(-3.0, 3.0, size=n)
         ratio = evaluate(x)[0]
         violating += ratio > limit
-        step = cfg.step_init
-        for _ in range(cfg.max_iters):
+        step = search.STEP_INIT
+        for _ in range(search.MAX_ITERS):
             improved = False
             for dim in range(2 * n):
                 for sign in (1.0, -1.0):
@@ -316,7 +326,7 @@ def _reference_optimize(rs, cfg):
                         x, ratio, improved = trial, trial_ratio, True
             if not improved:
                 step /= 2.0
-                if step < cfg.step_min:
+                if step < search.STEP_MIN:
                     break
         rows.append(evaluate(x))
         if rows[-1][0] > best_ratio:
@@ -511,7 +521,7 @@ def test_largest_cartan_eigenvalue_closed_form(ade):
 
 
 @pytest.mark.parametrize("ade", ALL_TYPES, ids=str)
-def test_every_ratio_within_the_spectral_bound(ade):
+def test_every_ratio_within_the_spectral_bound(ade, monkeypatch):
     rs = build_root_system(ade)
     bound = largest_cartan_eigenvalue(rs) / rs.rank
     limit = bound * (1 + 1e-12)
@@ -520,7 +530,8 @@ def test_every_ratio_within_the_spectral_bound(ade):
         z = rng.standard_normal(rs.rank) + 1j * rng.standard_normal(rs.rank)
         assert check_inequality(rs, z).ratio_upper <= limit
     assert sample_ratios(rs, SearchConfig(sample_count=1000, seed=0)).ratios.max() <= limit
-    optimized = optimize_ratio(rs, SearchConfig(restarts=1, seed=0, max_iters=50))
+    monkeypatch.setattr(search, "MAX_ITERS", 50)
+    optimized = optimize_ratio(rs, SearchConfig(restarts=1, seed=0))
     assert optimized.best_ratio <= limit
     if str(ade) == "A1":
         assert optimized.best_ratio == pytest.approx(bound, rel=1e-12)
