@@ -31,7 +31,7 @@ BACKWARD = "backward"
 
 RATIO_REL_TOL = 1e-12
 
-MAX_GRAPH_BYTES = 4 * 10**9  # of an exchange graph's arrays; about 4 GB, as search.MAX_SAMPLE_COUNT
+MAX_GRAPH_BYTES = 4 * 10**9  # of an exchange graph's arrays; about 4 GB
 
 
 def act_scaling(Z, zeta: complex) -> np.ndarray:

@@ -130,7 +130,7 @@ def render_csv(result: search.SearchResult) -> Iterator[str]:
     from adesystole import _csvdigits
 
     columns = (result.ratios, result.sys_upper, result.sys_lower, result.volumes)
-    count = len(result.ratios)
+    count = len(result.volumes)
     yield "index,ratio,sys_upper,sys_lower,volume"
     tables = _csvdigits._csv_tables()
     words = np.tile(tables.template, (min(count, _CSV_ROWS), 1))

@@ -8,11 +8,13 @@ log-radii.  The sampler streams it block by block from two PCG64
 generators: one at the start of the phase block, one advanced past it to
 the start of the log-radius block.  Each block of charges is drawn,
 multiplied by the root matrix and reduced to its rows' systole bounds
-and volumes while it is still in cache, so the sampler holds the four
-per-sample result arrays (32 B per sample) and a block, never the
-charges.  The optimizer is a derivative-free coordinate pattern search:
-the ratio is invariant under rescaling, so the volume is gauge-fixed to
-1 and the squared systole bound is pushed as high as it will go.
+and volumes while it is still in cache, so the sampler holds the three
+per-sample result arrays (24 B per sample) and a block, never the
+charges.  The ratios are derived from those arrays and summarized a
+block at a time, never stored.  The optimizer is a derivative-free
+coordinate pattern search: the ratio is invariant under rescaling, so
+the volume is gauge-fixed to 1 and the squared systole bound is pushed
+as high as it will go.
 
 A trial move changes one charge entry, `_charge` of one phase and
 log-radius.  By the coefficient identity C^-1 = R^T R / h the volume is
@@ -65,9 +67,15 @@ STEP_INIT = 0.25
 STEP_MIN = 1e-9
 MAX_ITERS = 200
 
-# About 40 B per sample are held (see the module docstring); 10**8 samples
-# take about 4 GB.  The optimizer holds 32 B per restart, under the same cap.
+# 24 B per sample and a few MB of blocks are held (see the module
+# docstring); 10**8 samples take about 2.4 GB, and 3.2 GB while the CSV
+# report reads the ratio column.
 MAX_SAMPLE_COUNT = 10**8
+
+# A restart takes about 1.4-2.7 ms on A1/A2, 20 ms on E8 and 145 ms on D32,
+# so 10**5 restarts run for minutes on A1/A2, about 33 min on E8 and about
+# 4 h on D32.
+MAX_RESTARTS = 10**5
 
 
 @dataclass(frozen=True)
@@ -86,8 +94,8 @@ class SearchConfig:
                 f"sample_count must be between 1 and {MAX_SAMPLE_COUNT:,}, got {self.sample_count}"
             )
         _check_seed(self.seed)
-        if not 1 <= self.restarts <= MAX_SAMPLE_COUNT:
-            raise ValueError(f"restarts must be between 1 and {MAX_SAMPLE_COUNT:,}, got {self.restarts}")
+        if not 1 <= self.restarts <= MAX_RESTARTS:
+            raise ValueError(f"restarts must be between 1 and {MAX_RESTARTS:,}, got {self.restarts}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,6 +110,11 @@ class SearchResult:
     so it is not a count of restarts.  A trial the optimizer's screen
     drops without evaluating it is provably under the bound, so the count
     still covers every trial.
+
+    A sampler result stores no ratio column: `ratios` derives it from
+    sys_upper and volumes on each access, so read it once.  The optimizer
+    stores its column, each restart's `check_inequality` ratio_upper, whose
+    Python `x**2` (libm pow) can differ from numpy's square in the last bit.
     """
 
     best_ratio: float
@@ -109,17 +122,23 @@ class SearchResult:
     samples_violating: int
     histogram: tuple[tuple[float, float, int], ...]
     bound: Fraction
-    ratios: np.ndarray
     sys_upper: np.ndarray
     sys_lower: np.ndarray
     volumes: np.ndarray
+    stored_ratios: np.ndarray | None = None
+
+    @property
+    def ratios(self) -> np.ndarray:
+        if self.stored_ratios is not None:
+            return self.stored_ratios
+        return _ratios(self.sys_upper, self.volumes)
 
     def summary(self) -> dict:
         return {
             "best_ratio": self.best_ratio,
             "best_charge": [[z.real, z.imag] for z in self.best_charge],
             "samples_violating": self.samples_violating,
-            "samples": int(self.ratios.shape[0]),
+            "samples": int(self.volumes.shape[0]),
             "bound": float(self.bound),
             "bound_exact": str(self.bound),
             "histogram": [
@@ -128,12 +147,31 @@ class SearchResult:
         }
 
 
-def _histogram(ratios: np.ndarray, bound: float):
+def _ratios(sys_up: np.ndarray, vol: np.ndarray) -> np.ndarray:
+    ratios = sys_up**2
+    ratios /= vol
+    return ratios
+
+
+def _scan(ratios_of, count: int, bound: float):
+    """(first index of the largest ratio, that ratio, the number over the
+    bound, the histogram) of a column of `count` ratios, read
+    `ratios_of(part)` for one slice of `_BLOCK_BYTES // 8` at a time."""
     edges = np.linspace(0.0, bound, _HISTOGRAM_BINS + 1)
-    counts, _ = np.histogram(np.minimum(ratios, bound), bins=edges)
-    return tuple(
+    counts = np.zeros(_HISTOGRAM_BINS, dtype=np.int64)
+    best, best_ratio, violating = 0, -math.inf, 0
+    rows = _BLOCK_BYTES // 8
+    for start in range(0, count, rows):
+        ratios = ratios_of(slice(start, start + rows))
+        top = int(np.argmax(ratios))
+        if ratios[top] > best_ratio:
+            best, best_ratio = start + top, float(ratios[top])
+        violating += int(np.count_nonzero(ratios > bound * (1.0 + VIOLATION_REL_TOL)))
+        counts += np.histogram(np.minimum(ratios, bound), bins=edges)[0]
+    histogram = tuple(
         (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(_HISTOGRAM_BINS)
     )
+    return best, best_ratio, violating, histogram
 
 
 def _streams(seed: int, count: int, rank: int, row: int = 0):
@@ -198,26 +236,11 @@ def sample_ratios(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
         _row_reduce(np.add, moduli, vol[block], _NARROW_SUM)
         start = stop
     vol /= rs.coxeter
-    ratios = sys_up**2
-    ratios /= vol
-    violating = int((ratios > float(rs.bound) * (1.0 + VIOLATION_REL_TOL)).sum())
-    best_charge = _draw(_streams(cfg.seed, count, n, int(np.argmax(ratios))), 1, n)[0]
-    return _result(rs, ratios, sys_up, sys_lo, vol, best_charge, violating)
-
-
-def _result(rs, ratios, sys_up, sys_lo, vol, best_charge, violating) -> SearchResult:
-    """The SearchResult of per-point ratios, bounds and volumes."""
-    return SearchResult(
-        best_ratio=float(ratios.max()),
-        best_charge=best_charge,
-        samples_violating=violating,
-        histogram=_histogram(ratios, float(rs.bound)),
-        bound=rs.bound,
-        ratios=ratios,
-        sys_upper=sys_up,
-        sys_lower=sys_lo,
-        volumes=vol,
+    best, best_ratio, violating, histogram = _scan(
+        lambda part: _ratios(sys_up[part], vol[part]), count, float(rs.bound)
     )
+    best_charge = _draw(_streams(cfg.seed, count, n, best), 1, n)[0]
+    return SearchResult(best_ratio, best_charge, violating, histogram, rs.bound, sys_up, sys_lo, vol)
 
 
 def _ratio_parts(rs: RootSystem, z: np.ndarray) -> tuple[float, float, float]:
@@ -389,4 +412,6 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
         if report.ratio_upper > best_ratio:  # gauge: report the volume-1 representative
             best_ratio, best_charge = report.ratio_upper, z / np.sqrt(report.volume)
 
-    return _result(rs, *table, best_charge, violating)
+    ratios, sys_up, sys_lo, vol = table
+    histogram = _scan(ratios.__getitem__, cfg.restarts, float(rs.bound))[3]
+    return SearchResult(best_ratio, best_charge, violating, histogram, rs.bound, sys_up, sys_lo, vol, ratios)

@@ -269,8 +269,9 @@ def test_csv_chunks_join_to_one_row_per_line(capsys, count):
 
 
 def test_csv_report_is_streamed(capsys, tmp_path):
-    # The sampler holds about 40 B per sample; the CSV text is written a
-    # chunk of rows at a time, never whole.
+    # The sampler holds 24 B per sample, and the ratio column 8 B more
+    # while the CSV is written; the CSV text is written a chunk of rows at
+    # a time, never whole.
     count = 200_000
     target = tmp_path / "ratios.csv"
     argv = ["sample", "--family", "A", "--rank", "2", "--count", str(count), "--output", "csv"]

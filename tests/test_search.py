@@ -71,16 +71,17 @@ def test_config_rejects_sample_count_over_memory_limit(capsys):
 
 
 
-def test_config_rejects_restarts_over_memory_limit(capsys):
-    # The optimizer keeps four float arrays of one entry per restart.
-    assert SearchConfig(restarts=search.MAX_SAMPLE_COUNT).restarts == 10**8
-    for restarts in (search.MAX_SAMPLE_COUNT + 1, 10**15):
-        with pytest.raises(ValueError, match="restarts must be between 1 and 100,000,000"):
+def test_config_rejects_restarts_over_time_limit(capsys):
+    # A restart takes milliseconds to a tenth of a second, so the cap is
+    # set by time: 10**5 restarts of D32 run for about 4 h.
+    assert SearchConfig(restarts=search.MAX_RESTARTS).restarts == 10**5
+    for restarts in (search.MAX_RESTARTS + 1, 10**8, 10**15):
+        with pytest.raises(ValueError, match="restarts must be between 1 and 100,000, got"):
             SearchConfig(restarts=restarts)
-    code = cli.main(["optimize", "--family", "A", "--rank", "2", "--restarts", str(10**15)])
+    code = cli.main(["optimize", "--family", "A", "--rank", "2", "--restarts", str(10**8)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
-    assert captured.err == f"error: restarts must be between 1 and 100,000,000, got {10**15}\n"
+    assert captured.err == f"error: restarts must be between 1 and 100,000, got {10**8}\n"
 
 # == Sampling ================================================================
 
@@ -123,7 +124,7 @@ def test_histogram_counts_sum_to_samples():
 
 def test_per_sample_arrays_are_consistent():
     result = sample_ratios(A2, SearchConfig(sample_count=50, seed=5))
-    assert result.ratios == pytest.approx(result.sys_upper**2 / result.volumes)
+    assert result.ratios.tobytes() == (result.sys_upper**2 / result.volumes).tobytes()
     assert np.all(result.sys_lower <= result.sys_upper + 1e-15)
 
 
@@ -190,10 +191,68 @@ def test_sample_many_blocks_match_one_block_reference(family, rank):
         assert_sample_matches_reference(rs, SearchConfig(sample_count=20_001, seed=seed))
 
 
-@pytest.mark.parametrize("family, rank, count", [("D", 32, 20_000), ("A", 2, 200_000)])
+def full_array_tail(rs, cfg, sys_up, vol):
+    """The end of sample_ratios as it was when it took the whole ratio
+    column at once: the oracle for its chunked summary."""
+    ratios = sys_up**2
+    ratios /= vol
+    bound = float(rs.bound)
+    edges = np.linspace(0.0, bound, 33)
+    counts, _ = np.histogram(np.minimum(ratios, bound), edges)
+    best = int(np.argmax(ratios))
+    return {
+        "ratios": ratios,
+        "best_ratio": float(ratios.max()),
+        "best_charge": _draw(_streams(cfg.seed, cfg.sample_count, rs.rank, best), 1, rs.rank)[0],
+        "samples_violating": int((ratios > bound * (1.0 + 1e-12)).sum()),
+        "histogram": tuple(
+            (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(32)
+        ),
+    }
+
+
+@pytest.mark.parametrize("family, rank", [("A", 1), ("A", 2), ("D", 4), ("E", 8)])
+def test_chunked_summary_matches_full_array_summary(family, rank):
+    rs = build_root_system(AdeType(family, rank))
+    chunk = search._BLOCK_BYTES // 8
+    for count in (1, 2, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        for seed in (3, 2**64 - 1):
+            cfg = SearchConfig(sample_count=count, seed=seed)
+            result = sample_ratios(rs, cfg)
+            # Copies, so that reading `ratios` must leave the columns as they were.
+            columns = {name: getattr(result, name).copy() for name in ("sys_upper", "sys_lower", "volumes")}
+            want = full_array_tail(rs, cfg, columns["sys_upper"], columns["volumes"]) | columns
+            for name, value in want.items():
+                got = getattr(result, name)
+                if isinstance(value, np.ndarray):
+                    assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), (count, name)
+                else:
+                    assert got == value, (count, name)
+            if rank == 1:  # every ratio is 2.0, so the first sample is the best
+                first = _draw(_streams(seed, count, 1), 1, 1)[0]
+                assert result.best_charge.tobytes() == first.tobytes()
+
+
+def test_sample_result_holds_24_bytes_per_sample():
+    # sys_upper, sys_lower and volumes; the ratios are derived on each
+    # access and not kept.
+    count = 10**6
+    sample_ratios(A2, SearchConfig(sample_count=10, seed=1))
+    tracemalloc.start()
+    try:
+        result = sample_ratios(A2, SearchConfig(sample_count=count, seed=1))
+        held = tracemalloc.get_traced_memory()[0]
+        assert result.ratios.shape == (count,)
+        held_after_read = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert max(held, held_after_read) <= 24 * count + 64 * 2**10
+
+
+@pytest.mark.parametrize("family, rank, count", [("D", 32, 20_000), ("A", 2, 200_000), ("A", 2, 10**6)])
 def test_sample_memory_stays_per_block(family, rank, count):
-    # The four result arrays take 32 B per sample; the charges and the
-    # root products exist only a block at a time.
+    # The three result arrays take 24 B per sample; the charges, the root
+    # products and the ratios exist only a block at a time.
     rs = build_root_system(AdeType(family, rank))
     tracemalloc.start()
     try:
@@ -201,7 +260,7 @@ def test_sample_memory_stays_per_block(family, rank, count):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * count + 4 * 2**20
+    assert peak <= 24 * count + 4 * 2**20
 
 
 @pytest.mark.parametrize("columns", range(1, 8))
