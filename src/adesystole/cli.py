@@ -18,7 +18,6 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
@@ -67,7 +66,7 @@ def parse_charge(text: str, option: str) -> list[complex]:
 
 
 def format_complex(z: complex) -> str:
-    sign = "+" if z.imag >= 0 or z.imag != z.imag else "-"
+    sign = "+" if z.imag >= 0 else "-"
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
@@ -75,21 +74,17 @@ def format_charge(values) -> str:
     return ",".join(format_complex(complex(z)) for z in values)
 
 
-def _jsonable(value, fmt=None):
-    """`value` as JSON data, in one walk: Fractions as strings, complex
-    numbers as 'a+bi', tuples as lists, and floats through `fmt` if given."""
+def _fmt17(value):
+    """`value` with each float as `{:.17g}` text and each tuple as a list.
+    Every report converts its own values, so a payload is JSON data."""
     if isinstance(value, (int, str)):
-        return value  # the common leaves, before the slow Fraction check
+        return value  # the common leaves first
     if isinstance(value, float):
-        return value if fmt is None else fmt(value)
+        return f"{value:.17g}"
     if isinstance(value, dict):
-        return {k: _jsonable(v, fmt) for k, v in value.items()}
+        return {k: _fmt17(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v, fmt) for v in value]
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, complex):
-        return format_complex(value)
+        return [_fmt17(v) for v in value]
     return value
 
 
@@ -98,7 +93,7 @@ def render_human(payload: dict) -> str:
     than 100 characters gets one indented line per item instead."""
     lines = []
     for key, value in payload.items():
-        value = _jsonable(value, "{:.17g}".format)
+        value = _fmt17(value)
         if isinstance(value, list):
             # With default separators json.dumps(value) is exactly this join.
             parts = [json.dumps(item) for item in value]
@@ -124,19 +119,21 @@ _CSV_ROWS = 2048
 
 def render_csv(result: search.SearchResult) -> Iterator[str]:
     """One row per sample (or restart) as `_csvdigits._CSV_ROW` writes it,
-    the floats in `%.17g`'s digits, as chunks of `_CSV_ROWS` rows; each row
-    starts with its newline.  The rows are made by `_csvdigits._csv_block`,
-    a numpy digit kernel whose output is byte-identical to the template's."""
+    the floats in `%.17g`'s digits, as chunks of `_CSV_ROWS` rows, each
+    with the ratios of its own rows (`result.ratios_of`); each row starts
+    with its newline.  The rows are made by `_csvdigits._csv_block`, a
+    numpy digit kernel whose output is byte-identical to the template's."""
     from adesystole import _csvdigits
 
-    columns = (result.ratios, result.sys_upper, result.sys_lower, result.volumes)
+    columns = (result.sys_upper, result.sys_lower, result.volumes)
     count = len(result.volumes)
     yield "index,ratio,sys_upper,sys_lower,volume"
     tables = _csvdigits._csv_tables()
     words = np.tile(tables.template, (min(count, _CSV_ROWS), 1))
     mask = np.empty_like(words)
     for start in range(0, count, _CSV_ROWS):
-        values = np.column_stack([c[start : start + _CSV_ROWS] for c in columns])
+        part = slice(start, start + _CSV_ROWS)
+        values = np.column_stack([result.ratios_of(part), *(c[part] for c in columns)])
         yield _csvdigits._csv_block(tables, start, values, words, mask)
 
 
@@ -193,9 +190,9 @@ def _roots(args, rs: roots.RootSystem) -> Report:
         {
             "coxeter": rs.coxeter,
             "count": roots.count_positive_roots(rs.ade),
-            "cartan": [list(row) for row in rs.cartan],
+            "cartan": rs.cartan,
             "cartan_inverse": [[str(x) for x in row] for row in rs.cartan_inv],
-            "positive_roots": [list(alpha) for alpha in rs.positive_roots],
+            "positive_roots": rs.positive_roots,
         }
     )
 
@@ -286,7 +283,7 @@ def _milnor(args, _rs) -> Report:
     fields = {
         "n": config.n,
         "points_centered": format_charge(config.points),
-        "ordering": list(config.ordering),
+        "ordering": config.ordering,
         "general_position": config.general_position,
         "segment_lengths": [{"i": i, "j": j, "length": value} for i, j, value in config.segments],
         "systole": milnor.geometric_systole(config),
@@ -313,7 +310,7 @@ def _correspond(args, _rs) -> Report:
 
 RENDERERS = {
     "human": lambda payload, source: render_human(payload),
-    "json": lambda payload, source: json.dumps(_jsonable(payload), indent=2),
+    "json": lambda payload, source: json.dumps(payload, indent=2),
 }
 
 

@@ -68,8 +68,7 @@ STEP_MIN = 1e-9
 MAX_ITERS = 200
 
 # 24 B per sample and a few MB of blocks are held (see the module
-# docstring); 10**8 samples take about 2.4 GB, and 3.2 GB while the CSV
-# report reads the ratio column.
+# docstring); 10**8 samples take about 2.4 GB in every output mode.
 MAX_SAMPLE_COUNT = 10**8
 
 # A restart takes about 1.4-2.7 ms on A1/A2, 20 ms on E8 and 145 ms on D32,
@@ -111,10 +110,11 @@ class SearchResult:
     drops without evaluating it is provably under the bound, so the count
     still covers every trial.
 
-    A sampler result stores no ratio column: `ratios` derives it from
-    sys_upper and volumes on each access, so read it once.  The optimizer
-    stores its column, each restart's `check_inequality` ratio_upper, whose
-    Python `x**2` (libm pow) can differ from numpy's square in the last bit.
+    `ratios_of(part)` is the ratio column over a slice, `ratios` all of it.
+    A sampler result derives each slice from sys_upper and volumes per
+    call; the optimizer stores its column, each restart's
+    `check_inequality` ratio_upper, whose Python `x**2` (libm pow) can
+    differ from numpy's square in the last bit.
     """
 
     best_ratio: float
@@ -127,11 +127,12 @@ class SearchResult:
     volumes: np.ndarray
     stored_ratios: np.ndarray | None = None
 
-    @property
-    def ratios(self) -> np.ndarray:
+    def ratios_of(self, part: slice = slice(None)) -> np.ndarray:
         if self.stored_ratios is not None:
-            return self.stored_ratios
-        return _ratios(self.sys_upper, self.volumes)
+            return self.stored_ratios[part]
+        return _ratios(self.sys_upper[part], self.volumes[part])
+
+    ratios = property(ratios_of)
 
     def summary(self) -> dict:
         return {
@@ -243,11 +244,11 @@ def sample_ratios(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
     return SearchResult(best_ratio, best_charge, violating, histogram, rs.bound, sys_up, sys_lo, vol)
 
 
-def _ratio_parts(rs: RootSystem, z: np.ndarray) -> tuple[float, float, float]:
-    """(ratio, sys_upper, volume) of a charge: a start or a trial of the search."""
+def _ratio_parts(rs: RootSystem, z: np.ndarray) -> tuple[float, float]:
+    """(ratio, volume) of a charge: a start or a trial of the search."""
     vol = _volume(rs, _root_moduli(rs, z))
     sys_up = float(np.minimum.reduce(np.abs(z)))
-    return sys_up**2 / vol, sys_up, vol
+    return sys_up**2 / vol, vol
 
 
 # A trial entry from `cmath` and numpy's `_charge` of one entry differ by a
@@ -372,7 +373,7 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
         phase = rng.uniform(PHASE_MARGIN, 1.0 - PHASE_MARGIN, size=n)
         log_r = rng.uniform(*_LOG_R_RANGE, size=n)
         z = _charge(phase, log_r)
-        ratio, _, vol = _ratio_parts(rs, z)
+        ratio, vol = _ratio_parts(rs, z)
         violating += ratio > limit
         params = phase.tolist() + log_r.tolist()
         fresh = [_charge(phase[k : k + 1], log_r[k : k + 1]).tobytes() == z[k : k + 1].tobytes()
@@ -395,7 +396,7 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
                         continue
                     trial_z = z.copy()
                     trial_z[k : k + 1] = _charge(np.array([trial[k]]), np.array([trial[n + k]]))
-                    trial_ratio, _, trial_vol = _ratio_parts(rs, trial_z)
+                    trial_ratio, trial_vol = _ratio_parts(rs, trial_z)
                     violating += trial_ratio > limit
                     if trial_ratio > ratio:
                         params, z, ratio = trial, trial_z, trial_ratio

@@ -249,6 +249,29 @@ def test_sample_result_holds_24_bytes_per_sample():
     assert max(held, held_after_read) <= 24 * count + 64 * 2**10
 
 
+def assert_ratios_of_slices_ratios(result, parts):
+    ratios = result.ratios
+    for part in parts:
+        got = result.ratios_of(part)
+        assert got.dtype == ratios.dtype and got.tobytes() == ratios[part].tobytes(), part
+
+
+@pytest.mark.parametrize("family, rank", [("A", 1), ("A", 2), ("E", 8)])
+def test_sample_ratios_of_a_slice_match_the_column(family, rank):
+    # The CSV report reads the ratios a chunk at a time: empty, the first
+    # row, across the chunk edge, the tail and the whole column.
+    rows = cli._CSV_ROWS
+    count = 2 * rows + 5
+    result = sample_ratios(build_root_system(AdeType(family, rank)), SearchConfig(sample_count=count, seed=8))
+    parts = (slice(0, 0), slice(0, 1), slice(rows - 3, rows + 3), slice(2 * rows, 3 * rows), slice(None))
+    assert_ratios_of_slices_ratios(result, parts)
+
+
+def test_optimize_ratios_of_a_slice_match_the_column():
+    result = optimize_ratio(A2, SearchConfig(seed=7, restarts=20))
+    assert_ratios_of_slices_ratios(result, (slice(0, 0), slice(0, 1), slice(5, 12), slice(15, 40), slice(None)))
+
+
 @pytest.mark.parametrize("family, rank, count", [("D", 32, 20_000), ("A", 2, 200_000), ("A", 2, 10**6)])
 def test_sample_memory_stays_per_block(family, rank, count):
     # The three result arrays take 24 B per sample; the charges, the root
@@ -479,7 +502,7 @@ def _start(rs, rng, log_r=(-3.0, 3.0)):
     x[:n] = rng.uniform(search.PHASE_MARGIN, 1.0 - search.PHASE_MARGIN, size=n)
     x[n:] = rng.uniform(*log_r, size=n)
     z = search._charge(x[:n], x[n:])
-    return x, z, search._ratio_parts(rs, z)[2]
+    return x, z, search._ratio_parts(rs, z)[1]
 
 
 def _assert_bound_holds(rs, x, z, vol, k, phase, log_r):
