@@ -45,6 +45,7 @@ def act_scaling(Z, zeta: complex) -> np.ndarray:
 
 
 def _check_vertex(rs: RootSystem, i: int) -> int:
+    _check_int("vertex", i)
     if not 1 <= i <= rs.rank:
         raise IndexError(f"vertex index {i} out of range 1..{rs.rank}")
     return i - 1
@@ -134,6 +135,7 @@ def simple_tilt(rs: RootSystem, heart: HeartState, k: int, direction: str) -> He
     """
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"direction must be {FORWARD!r} or {BACKWARD!r}, got {direction!r}")
+    _check_int("tilt position", k)
     if not 1 <= k <= heart.rank:
         raise IndexError(f"tilt position {k} out of range 1..{heart.rank}")
     if any(len(m) != rs.rank for m in heart.simples):
@@ -211,10 +213,6 @@ class ExchangeGraph:
         positions = np.tile(np.repeat(np.arange(1, n + 1), 2), m).tolist()
         dsts = np.repeat(self.targets.ravel(), 2).tolist()
         return tuple(zip(srcs, dsts, positions, cycle((FORWARD, BACKWARD))))
-
-    def out_degrees(self) -> list[int]:
-        expanded = len(self.targets)
-        return [2 * self.rank] * expanded + [0] * (len(self.stack) - expanded)
 
     def adjacency(self) -> dict:
         return {

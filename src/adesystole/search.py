@@ -16,16 +16,17 @@ coordinate pattern search: the ratio is invariant under rescaling, so
 the volume is gauge-fixed to 1 and the squared systole bound is pushed
 as high as it will go.
 
-A trial move changes one charge entry, `_charge` of one phase and
-log-radius.  By the coefficient identity C^-1 = R^T R / h the volume is
-the Hermitian form z* C^-1 z, so with w = C^-1 z kept per point, a
-trial's volume and ratio are known in O(1) instead of one product over
-the positive roots.  The estimate is screened
-against an a-priori rounding bound (gamma-type, in units of
-u = 2^-53 times |z|^T C^-1 |z|; see `_trial_ratio_bound`), and only a
-trial whose bounded ratio could beat the current one, or go over the
-bound h/n, is evaluated exactly.  Seeded results are bit-identical to
-evaluating every trial.
+Every entry of the search's charge, at the start and after each move,
+is a one-entry `_charge` of its own phase and log-radius, and a trial
+move changes one entry.  By the coefficient identity C^-1 = R^T R / h
+the volume is the Hermitian form z* C^-1 z, so with w = C^-1 z kept per
+point, a trial's volume and ratio are known in O(1) instead of one
+product over the positive roots.  The estimate is screened against an
+a-priori rounding bound (gamma-type, in units of u = 2^-53 times
+|z|^T C^-1 |z|; see `_trial_ratio_bound`), and only a trial whose
+bounded ratio could beat the current one, or go over the bound h/n, is
+evaluated exactly.  Seeded results are bit-identical to evaluating
+every trial.
 """
 
 from __future__ import annotations
@@ -216,8 +217,9 @@ def sample_ratios(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
     out zero unless the inequality itself is broken.
 
     The positive roots begin with the n simples, so the first n moduli of
-    a row are |Z_i| and give sys_upper.  No block has one row: numpy
-    would multiply it on its matrix-vector path, whose last bits differ.
+    a row are |Z_i| and give sys_upper.  No block has one row unless
+    count is 1: numpy would multiply it on its matrix-vector path, whose
+    last bits differ.
     """
     count, n = cfg.sample_count, rs.rank
     roots_t = rs.complex_root_matrix.T
@@ -351,17 +353,17 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
     stops once it falls below STEP_MIN or after MAX_ITERS sweeps.  Reports
     the per-restart bests (see SearchResult for what each field counts).
 
-    The point is `params`, its charge z, its `fresh` entries and the
-    screen's `point`.  A move changes one coordinate of `params`, which
-    stays inside its box, so a trial clamps that coordinate alone.  A
-    trial clamped onto the current point is known without evaluation once
-    its entry is fresh, i.e. `_charge` of its parameters reproduces it bit
-    for bit.  Any other trial is screened: `_trial_ratio_bound` bounds its
-    ratio in O(1), and only a trial whose bound reaches min(ratio, limit)
-    is evaluated exactly, by `_charge` of its entry and `_ratio_parts`.  A
-    screened-out trial would be neither accepted nor counted as violating,
-    so every result is bit-identical to evaluating every trial.  Each
-    restart is reported by one `check_inequality`.
+    The point is `params`, its charge z, whose every entry is a one-entry
+    `_charge` of its own phase and log-radius, and the screen's `point`.
+    A move changes one coordinate of `params`, which stays inside its box,
+    so a trial clamps that coordinate alone; one clamped onto the current
+    point is the current point.  Any other trial is screened:
+    `_trial_ratio_bound` bounds its ratio in O(1), and only a trial whose
+    bound reaches min(ratio, limit) is evaluated exactly, by `_charge` of
+    its entry and `_ratio_parts`.  A screened-out trial would be neither
+    accepted nor counted as violating, so every result is bit-identical
+    to evaluating every trial.  Each restart is reported by one
+    `check_inequality`.
     """
     rng = np.random.default_rng(cfg.seed)
     n = rs.rank
@@ -372,12 +374,10 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
     for restart in range(cfg.restarts):
         phase = rng.uniform(PHASE_MARGIN, 1.0 - PHASE_MARGIN, size=n)
         log_r = rng.uniform(*_LOG_R_RANGE, size=n)
-        z = _charge(phase, log_r)
+        z = np.concatenate([_charge(phase[k : k + 1], log_r[k : k + 1]) for k in range(n)])
         ratio, vol = _ratio_parts(rs, z)
         violating += ratio > limit
         params = phase.tolist() + log_r.tolist()
-        fresh = [_charge(phase[k : k + 1], log_r[k : k + 1]).tobytes() == z[k : k + 1].tobytes()
-                 for k in range(n)]
         point = _point(rs, z, vol)
         cutoff = min(ratio, limit)
         step = STEP_INIT
@@ -387,7 +387,7 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
                 k = dim % n
                 for sign in (1.0, -1.0):
                     value = min(max(params[dim] + sign * step, lo), hi)
-                    if value == params[dim] and fresh[k]:
+                    if value == params[dim]:
                         violating += ratio > limit  # the trial is the current point
                         continue
                     trial = params.copy()
@@ -400,7 +400,6 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
                     violating += trial_ratio > limit
                     if trial_ratio > ratio:
                         params, z, ratio = trial, trial_z, trial_ratio
-                        fresh[k] = True
                         point = _point(rs, z, trial_vol)
                         cutoff = min(ratio, limit)
                         improved = True

@@ -213,7 +213,7 @@ def test_criterion_08_exchange_graph_sanity():
         g = exchange_graph(rs, depth)
         again = exchange_graph(rs, depth)
         ok = ok and g.complete and len(g.nodes) == expected
-        ok = ok and set(g.out_degrees()) == {2 * rs.rank}
+        ok = ok and g.targets.shape == (expected, rs.rank)  # 2n labelled edges a node
         ok = ok and g.nodes == again.nodes and g.edges == again.edges
         sizes.append(f"{ade}:{len(g.nodes)}")
     _report(8, ok, "A1 depth-4 graph has 2 nodes; closed graphs "

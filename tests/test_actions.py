@@ -197,6 +197,30 @@ def test_tilt_bad_arguments():
         simple_tilt(A2, heart, 1, "sideways")
 
 
+_AT_POSITION = {
+    "reflect_class": (lambda i: reflect_class(A2, i, (1, 0)), "vertex index {} out of range 1..2"),
+    "reflect_charge": (lambda i: reflect_charge(A2, i, [1, 1j]), "vertex index {} out of range 1..2"),
+    "simple_tilt": (lambda k: simple_tilt(A2, canonical_heart(A2), k, FORWARD), "tilt position {} out of range 1..2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_AT_POSITION))
+@pytest.mark.parametrize("value", [True, 1.0, 2.5, "1"], ids=repr)
+def test_vertex_and_tilt_position_must_be_integers(name, value):
+    call = _AT_POSITION[name][0]
+    with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {value!r}")):
+        call(value)
+
+
+@pytest.mark.parametrize("name", sorted(_AT_POSITION))
+def test_vertex_and_tilt_position_range(name):
+    call, message = _AT_POSITION[name]
+    for i in (0, 3, -1):
+        with pytest.raises(IndexError, match=re.escape(message.format(i))):
+            call(i)
+    call(np.int64(2))  # a numpy integer is an integer
+
+
 @pytest.mark.parametrize("ade", SMALL_TYPES, ids=str)
 def test_tilt_sequences_preserve_invariants(ade):
     rs = build_root_system(ade)
@@ -233,7 +257,7 @@ def test_a1_graph_two_nodes():
     assert len(graph.nodes) == 2
     assert set(graph.nodes) == {((1,),), ((-1,),)}
     assert graph.complete
-    assert graph.out_degrees() == [2, 2]
+    assert graph.targets.shape == (2, 1)  # both nodes expanded: 2 labelled edges each
     labels = {(src, dst, pos, d) for src, dst, pos, d in graph.edges}
     assert (0, 1, 1, FORWARD) in labels and (0, 1, 1, BACKWARD) in labels
 
@@ -264,7 +288,7 @@ def test_closed_graph_sizes(ade, weyl_order):
     assert graph.complete
     assert len(graph.nodes) == weyl_order
     assert len(graph.edges) == 2 * rs.rank * weyl_order
-    assert set(graph.out_degrees()) == {2 * rs.rank}
+    assert graph.targets.shape == (weyl_order, rs.rank)  # every node has 2n labelled edges
 
 
 def test_closed_e6_graph():
@@ -272,7 +296,7 @@ def test_closed_e6_graph():
     assert graph.complete
     assert len(graph.nodes) == 51_840
     assert len(graph.edges) == 622_080
-    assert set(graph.out_degrees()) == {12}
+    assert graph.targets.shape == (51_840, 6)
 
 
 @pytest.mark.parametrize("rs", [A3, D4, A5, D5], ids=["A3", "D4", "A5", "D5"])
@@ -607,7 +631,7 @@ def test_depth_cap_leaves_frontier_unexpanded():
     # start gives two distinct neighbors.
     assert len(graph.nodes) == 3
     assert not graph.complete
-    assert graph.out_degrees()[0] == 4
+    assert graph.targets.shape == (1, 2)  # only the start is expanded, with 4 labelled edges
 
 
 def test_graph_determinism():
@@ -641,7 +665,7 @@ def test_json_adjacency_round_trip():
     payload = json.loads(graph.to_json())
     assert payload["rank"] == 2
     assert payload["nodes"][0] == [[1, 0], [0, 1]]
-    assert len(payload["edges"]) == sum(graph.out_degrees())
+    assert len(payload["edges"]) == 2 * graph.targets.size
     directions = {edge["direction"] for edge in payload["edges"]}
     assert directions == {FORWARD, BACKWARD}
 

@@ -466,6 +466,24 @@ def test_optimize_counts_every_violating_trial(monkeypatch, family, rank, seed, 
     assert_optimize_matches_reference(rs, cfg)
 
 
+@pytest.mark.parametrize("family, rank", [("A", 2), ("D", 4), ("E", 6)])
+def test_optimize_charges_one_entry_at_a_time(monkeypatch, family, rank):
+    # Start and trial entries alike are one-entry `_charge` calls, so each
+    # entry of the search's charge is `_charge` of its own parameters and a
+    # trial clamped onto the current point is that point on any platform.
+    sizes = []
+
+    def recorded(phase, log_r):
+        sizes.append((np.size(phase), np.size(log_r)))
+        return charge(phase, log_r)
+
+    charge = search._charge
+    monkeypatch.setattr(search, "_charge", recorded)
+    optimize_ratio(build_root_system(AdeType(family, rank)), SearchConfig(seed=3, restarts=2))
+    assert len(sizes) >= 2 * rank
+    assert set(sizes) == {(1, 1)}
+
+
 # == Trial screen ============================================================
 
 @pytest.mark.parametrize(
