@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from adesystole.roots import RootClass, RootSystem, _bareiss, _check_int, _check_seed
+from adesystole.roots import RootClass, RootSystem, _bareiss, _check_class, _check_int, _check_seed
 from adesystole.stability import (
     REL_TOL, _in_range, _nonzero_charge, as_charge, check_inequality, systole_upper, volume_roots,
 )
@@ -54,9 +54,7 @@ def _check_vertex(rs: RootSystem, i: int) -> int:
 def reflect_class(rs: RootSystem, i: int, alpha) -> RootClass:
     """Simple reflection at vertex i (1-based) on an integer class vector."""
     i0 = _check_vertex(rs, i)
-    alpha = tuple(int(c) for c in alpha)
-    if len(alpha) != rs.rank:
-        raise ValueError(f"class vector has length {len(alpha)}, expected {rs.rank}")
+    alpha = _check_class(alpha, rs.rank)
     out = list(alpha)
     out[i0] -= sum(c * a for c, a in zip(rs.cartan[i0], alpha))
     return tuple(out)
@@ -138,9 +136,8 @@ def simple_tilt(rs: RootSystem, heart: HeartState, k: int, direction: str) -> He
     _check_int("tilt position", k)
     if not 1 <= k <= heart.rank:
         raise IndexError(f"tilt position {k} out of range 1..{heart.rank}")
-    if any(len(m) != rs.rank for m in heart.simples):
-        raise ValueError("class vector length does not match rank")
-    stack = np.array([heart.simples], dtype=np.int64)
+    classes = [_check_class(m, rs.rank, f"simple {i}") for i, m in enumerate(heart.simples, 1)]
+    stack = np.array([classes], dtype=np.int64)
     simples = tuple(map(tuple, _tilt(rs.cartan_array, stack, k - 1)[0].tolist()))
     return HeartState(simples, heart.word + ((k, direction),))
 
@@ -426,16 +423,14 @@ def verify_action_equivariance(
     except ValueError as exc:
         raise ValueError(f"{out_of_range}: {exc}") from None
     rng = np.random.default_rng(seed)
-    pairs = [(z0, zeta)]
-    for _ in range(trials - 1):
-        z = rng.standard_normal(rs.rank) + 1j * rng.standard_normal(rs.rank)
-        while not z.all():
-            z = rng.standard_normal(rs.rank) + 1j * rng.standard_normal(rs.rank)
-        zt = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
-        pairs.append((z, zt))
-
+    z, zt = z0, zeta
     sys_err = vol_err = ref_err = ratio_err = 0.0
-    for z, zt in pairs:
+    for trial in range(trials):
+        if trial:  # a seeded pair, drawn when it is checked
+            z = rng.standard_normal(rs.rank) + 1j * rng.standard_normal(rs.rank)
+            while not z.all():
+                z = rng.standard_normal(rs.rank) + 1j * rng.standard_normal(rs.rank)
+            zt = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
         before = check_inequality(rs, z)
         after = check_inequality(rs, act_scaling(z, zt))
         mult = math.exp(math.pi * zt.imag)
@@ -445,7 +440,7 @@ def verify_action_equivariance(
             ref_err = max(ref_err, _rel_err(volume_roots(rs, reflect_charge(rs, i, z)), before.volume))
         ratio_err = max(ratio_err, _rel_err(after.ratio_upper, before.ratio_upper))
     return EquivarianceReport(
-        trials=len(pairs),
+        trials=int(trials),
         sys_scaling_error=sys_err,
         vol_scaling_error=vol_err,
         reflect_error=ref_err,

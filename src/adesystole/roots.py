@@ -37,6 +37,17 @@ def _check_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_class(alpha, rank: int, name: str = "class vector") -> RootClass:
+    """`alpha` as a tuple of ints; ValueError unless it has `rank` integer entries."""
+    alpha = tuple(alpha)
+    if len(alpha) != rank:
+        raise ValueError(f"{name} has length {len(alpha)}, expected {rank}")
+    for j, c in enumerate(alpha, 1):
+        if type(c) is not int:  # a tilt checks n^2 entries; a plain int needs no name formatted
+            _check_int(f"{name} entry {j}", c)
+    return tuple(map(int, alpha))
+
+
 def _check_seed(seed) -> None:
     """ValueError unless `seed` is an integer that numpy's generators take."""
     _check_int("seed", seed)

@@ -18,13 +18,9 @@ as high as it will go.
 
 Every entry of the search's charge, at the start and after each move,
 is a one-entry `_charge` of its own phase and log-radius, and a trial
-move changes one entry.  By the coefficient identity C^-1 = R^T R / h
-the volume is the Hermitian form z* C^-1 z, so with w = C^-1 z kept per
-point, a trial's volume and ratio are known in O(1) instead of one
-product over the positive roots.  The estimate is screened against an
-a-priori rounding bound (gamma-type, in units of u = 2^-53 times
-|z|^T C^-1 |z|; see `_trial_ratio_bound`), and only a trial whose
-bounded ratio could beat the current one, or go over the bound h/n, is
+move changes one entry.  `_screen` bounds a trial's ratio in O(1)
+instead of one product over the positive roots, and only a trial whose
+bound could beat the current ratio, or go over the bound h/n, is
 evaluated exactly.  Seeded results are bit-identical to evaluating
 every trial.
 """
@@ -35,7 +31,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -260,87 +255,58 @@ _ENTRY_GAP = 2.0**-47
 _WIDEN = 1.0 + 2.0 * _ENTRY_GAP
 
 
-class _Point(NamedTuple):
-    """What the trial screen keeps of the current point of the search.
-
-    `wr + i wi` = C^-1 z and `a` = C^-1 |z| are recomputed by one product
-    whenever the point moves; `spread` = |z|^T C^-1 |z| is at least the
-    volume and scales its rounding error `err * spread`; `first` and
-    `second` are the two smallest |z_j|, `first` at entry `low`.
-    """
-
-    z: list
-    moduli: list
-    wr: list
-    wi: list
-    a: list
-    diag: list
-    vol: float
-    spread: float
-    err: float
-    low: int
-    first: float
-    second: float
-
-
-def _point(rs: RootSystem, z: np.ndarray, vol: float) -> _Point:
-    """The screen's view of charge z, whose root-route volume is vol."""
-    inv = rs.inverse_array  # symmetric: rows @ inv = (inv @ columns)^T
-    moduli = np.abs(z)
-    products = np.array((z.real, z.imag, moduli)) @ inv
-    wr, wi, a = products.tolist()
-    mods = moduli.tolist()
-    low = mods.index(min(mods))
-    return _Point(
-        z=z.tolist(),
-        moduli=mods,
-        wr=wr,
-        wi=wi,
-        a=a,
-        diag=inv.diagonal().tolist(),
-        vol=vol,
-        spread=float(products[2] @ moduli),
-        err=(len(rs.positive_roots) + 3 * rs.rank + 256) * 2.0**-50,
-        low=low,
-        first=mods[low],
-        second=min(mods[:low] + mods[low + 1 :], default=math.inf),
-    )
-
-
-def _trial_ratio_bound(point: _Point, k: int, phase: float, log_r: float) -> float:
-    """An upper bound on the ratio `_ratio_parts` returns for the current
-    point with entry k replaced by `_charge` of (phase, log_r), or inf.
+def _screen(rs: RootSystem, z: np.ndarray, vol: float):
+    """The trial screen of charge z, whose root-route volume is vol:
+    `bound(k, phase, log_r)` is an upper bound on the ratio `_ratio_parts`
+    returns for z with entry k replaced by `_charge` of (phase, log_r), or
+    inf.
 
     By the coefficient identity C^-1 = R^T R / h the volume is the
-    Hermitian form z* C^-1 z, so moving entry k by delta adds
-    2 Re(conj(delta) w_k) + |delta|^2 C^-1_kk.  With u = 2^-53, rounding
-    moves the root-route volume of a charge y by at most
+    Hermitian form z* C^-1 z, so with w = C^-1 z, computed once per
+    point, moving entry k by delta adds 2 Re(conj(delta) w_k) +
+    |delta|^2 C^-1_kk.  With u = 2^-53, rounding moves the root-route
+    volume of a charge y by at most
     (|Phi+| + 2n + 8) u |y|^T C^-1 |y|: gamma_n b_M on each root value
     Z(M), where b_M = sum_j c_j(M) |y_j| also bounds |Z(M)|; one ulp in
     its modulus; gamma_|Phi+| in the sum of squares; and
     sum_M b_M^2 = h |y|^T C^-1 |y| by the identity.  The current and the
     trial charge each have that error, and |y'|^T C^-1 |y'| <= spread +
-    grow, where grow = r (2 a_k + r C^-1_kk) and r = |new entry| + |old
-    entry| bounds every term of the update at its modulus.  The error of
+    grow, where spread = |z|^T C^-1 |z|, a = C^-1 |z|, grow =
+    r (2 a_k + r C^-1_kk) and r = |new entry| + |old entry| bounds every
+    term of the update at its modulus.  The error of
     w from the rounded C^-1 (gamma_(n+1) a_k), the entry gap and the
     rounding of the update add at most (n + 220) u grow.  The volume is
     narrowed by err (spread + grow), err = (|Phi+| + 3n + 256) 2^-50, at
     least twice all of these; a volume not bounded away from 0 gives inf.
-    sys_upper and the ratio are widened by `_WIDEN`.
+    sys_upper, from the two smallest |z_j|, and the ratio are widened by
+    `_WIDEN`.
     """
-    z, moduli, wr, wi, a, diag, vol, spread, err, low, first, second = point
-    new = 10.0**log_r * cmath.exp(1j * math.pi * phase)
-    modulus = abs(new)
-    dr = new.real - z[k].real
-    di = new.imag - z[k].imag
-    c = diag[k]
-    reach = modulus + moduli[k]
-    grow = reach * (2.0 * a[k] + reach * c)
-    vol += 2.0 * (dr * wr[k] + di * wi[k]) + (dr * dr + di * di) * c - err * (spread + grow)
-    if vol <= 0.0:
-        return math.inf
-    sys_up = min(modulus, second if k == low else first) * _WIDEN
-    return sys_up * sys_up / vol * _WIDEN
+    inv = rs.inverse_array  # symmetric: rows @ inv = (inv @ columns)^T
+    abs_z = np.abs(z)
+    products = np.array((z.real, z.imag, abs_z)) @ inv
+    wr, wi, a = products.tolist()
+    spread = float(products[2] @ abs_z)
+    entries, moduli, diag = z.tolist(), abs_z.tolist(), inv.diagonal().tolist()
+    err = (len(rs.positive_roots) + 3 * rs.rank + 256) * 2.0**-50
+    low = moduli.index(min(moduli))
+    first = moduli[low]
+    second = min(moduli[:low] + moduli[low + 1 :], default=math.inf)
+
+    def bound(k: int, phase: float, log_r: float) -> float:
+        new = 10.0**log_r * cmath.exp(1j * math.pi * phase)
+        modulus = abs(new)
+        dr = new.real - entries[k].real
+        di = new.imag - entries[k].imag
+        c = diag[k]
+        reach = modulus + moduli[k]
+        grow = reach * (2.0 * a[k] + reach * c)
+        trial_vol = vol + (2.0 * (dr * wr[k] + di * wi[k]) + (dr * dr + di * di) * c - err * (spread + grow))
+        if trial_vol <= 0.0:
+            return math.inf
+        sys_up = min(modulus, second if k == low else first) * _WIDEN
+        return sys_up * sys_up / trial_vol * _WIDEN
+
+    return bound
 
 
 def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
@@ -353,14 +319,13 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
     stops once it falls below STEP_MIN or after MAX_ITERS sweeps.  Reports
     the per-restart bests (see SearchResult for what each field counts).
 
-    The point is `params`, its charge z, whose every entry is a one-entry
-    `_charge` of its own phase and log-radius, and the screen's `point`.
-    A move changes one coordinate of `params`, which stays inside its box,
-    so a trial clamps that coordinate alone; one clamped onto the current
-    point is the current point.  Any other trial is screened:
-    `_trial_ratio_bound` bounds its ratio in O(1), and only a trial whose
-    bound reaches min(ratio, limit) is evaluated exactly, by `_charge` of
-    its entry and `_ratio_parts`.  A screened-out trial would be neither
+    The state is `params`, its charge z, whose every entry is a one-entry
+    `_charge` of its own phase and log-radius, and `screen`, the `_screen`
+    of z.  A move changes one coordinate of `params`, which stays inside
+    its box, so a trial clamps that coordinate alone; one clamped onto the
+    current point is the current point.  Any other trial is screened, and
+    only a trial whose `screen` bound reaches min(ratio, limit) is
+    evaluated exactly, by `_charge` of its entry and `_ratio_parts`.  A screened-out trial would be neither
     accepted nor counted as violating, so every result is bit-identical
     to evaluating every trial.  Each restart is reported by one
     `check_inequality`.
@@ -378,7 +343,7 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
         ratio, vol = _ratio_parts(rs, z)
         violating += ratio > limit
         params = phase.tolist() + log_r.tolist()
-        point = _point(rs, z, vol)
+        screen = _screen(rs, z, vol)
         cutoff = min(ratio, limit)
         step = STEP_INIT
         for _ in range(MAX_ITERS):
@@ -392,7 +357,7 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
                         continue
                     trial = params.copy()
                     trial[dim] = value
-                    if _trial_ratio_bound(point, k, trial[k], trial[n + k]) < cutoff:
+                    if screen(k, trial[k], trial[n + k]) < cutoff:
                         continue
                     trial_z = z.copy()
                     trial_z[k : k + 1] = _charge(np.array([trial[k]]), np.array([trial[n + k]]))
@@ -400,7 +365,7 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
                     violating += trial_ratio > limit
                     if trial_ratio > ratio:
                         params, z, ratio = trial, trial_z, trial_ratio
-                        point = _point(rs, z, trial_vol)
+                        screen = _screen(rs, z, trial_vol)
                         cutoff = min(ratio, limit)
                         improved = True
             if not improved:

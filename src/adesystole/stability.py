@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from adesystole.roots import RootClass, RootSystem
+from adesystole.roots import RootClass, RootSystem, _check_class
 
 # Relative tolerances: cross-formula comparisons, and inequality slack.
 REL_TOL = 1e-9
@@ -72,9 +72,7 @@ def _in_range(vol: float, z: np.ndarray, sys_upper: float | None = None) -> floa
 def evaluate_charge(rs: RootSystem, Z, alpha: RootClass) -> complex:
     """Value of the charge on a class vector: sum of c_i(alpha) * Z_i."""
     z = as_charge(Z, rs.rank)
-    if len(alpha) != rs.rank:
-        raise ValueError(f"class vector has length {len(alpha)}, expected {rs.rank}")
-    return complex(np.dot(np.asarray(alpha, dtype=np.float64), z))
+    return complex(np.dot(np.asarray(_check_class(alpha, rs.rank), dtype=np.float64), z))
 
 
 def volume_basis(rs: RootSystem, Z) -> float:

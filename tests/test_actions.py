@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 from itertools import cycle
 
 import numpy as np
@@ -31,7 +32,7 @@ from adesystole.actions import (
 )
 from adesystole.cli import render_human
 from adesystole.roots import AdeType, build_root_system, count_positive_roots
-from adesystole.stability import systole_upper, volume_roots
+from adesystole.stability import evaluate_charge, systole_upper, volume_roots
 
 A1 = build_root_system(AdeType("A", 1))
 A2 = build_root_system(AdeType("A", 2))
@@ -210,6 +211,23 @@ def test_vertex_and_tilt_position_must_be_integers(name, value):
     call = _AT_POSITION[name][0]
     with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {value!r}")):
         call(value)
+
+
+# A class vector (0, entry), and the name its entries go by.
+_WITH_CLASS = {
+    "reflect_class": (lambda alpha: reflect_class(A2, 1, alpha), "class vector"),
+    "simple_tilt": (lambda alpha: simple_tilt(A2, HeartState(((1, 0), alpha)), 1, FORWARD), "simple 2"),
+    "evaluate_charge": (lambda alpha: evaluate_charge(A2, [1j, 2j], alpha), "class vector"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WITH_CLASS))
+@pytest.mark.parametrize("value", [True, 1.0, 1.5, "1"], ids=repr)
+def test_class_vector_entries_must_be_integers(name, value):
+    call, label = _WITH_CLASS[name]
+    with pytest.raises(ValueError, match=re.escape(f"{label} entry 2 must be an integer, got {value!r}")):
+        call((0, value))
+    assert call((np.int64(0), np.int8(1))) == call((0, 1))
 
 
 @pytest.mark.parametrize("name", sorted(_AT_POSITION))
@@ -780,6 +798,21 @@ def test_equivariance_rejects_bad_inputs():
 def test_equivariance_rejects_bool_non_integer_and_out_of_range_trials_and_seed(kwargs, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         verify_action_equivariance(A2, [1j, 2j], 0.75, **kwargs)
+
+
+def test_equivariance_pairs_are_streamed():
+    # Each seeded pair is drawn when it is checked, so the memory does not
+    # grow with the trials (a list of pairs held about 150 B a trial on A2).
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            verify_action_equivariance(A2, [1j, 2j], 0.75, trials=trials, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # the first call imports what the kernels load lazily
+    assert abs(peak(5000) - peak(500)) < 64 * 2**10
 
 
 def test_equivariance_takes_numpy_integers_and_the_largest_seed():

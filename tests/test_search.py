@@ -495,7 +495,7 @@ def test_the_screen_drops_most_trials(monkeypatch, family, rank, seed, restarts,
     # every trial, about 5x slower.  The screen sees every trial that is not
     # a no-op, a count fixed by the search path and by float compares; each
     # start and each trial the screen lets through is one `_ratio_parts`.
-    # Exact evaluations are bounded, not pinned: `_point`'s BLAS product can
+    # Exact evaluations are bounded, not pinned: `_screen`'s BLAS product can
     # move a near-tie trial across the screen on another numpy.
     calls = {"screen": 0, "exact": 0}
 
@@ -505,7 +505,8 @@ def test_the_screen_drops_most_trials(monkeypatch, family, rank, seed, restarts,
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(search, "_trial_ratio_bound", counted("screen", search._trial_ratio_bound))
+    screen = search._screen
+    monkeypatch.setattr(search, "_screen", lambda *args: counted("screen", screen(*args)))
     monkeypatch.setattr(search, "_ratio_parts", counted("exact", search._ratio_parts))
     rs = build_root_system(AdeType(family, rank))
     optimize_ratio(rs, SearchConfig(seed=seed, restarts=restarts))
@@ -532,7 +533,7 @@ def _assert_bound_holds(rs, x, z, vol, k, phase, log_r):
     trial_z = z.copy()
     trial_z[k : k + 1] = search._charge(trial[k : k + 1], trial[n + k : n + k + 1])
     exact = search._ratio_parts(rs, trial_z)[0]
-    bound = search._trial_ratio_bound(search._point(rs, z, vol), k, phase, log_r)
+    bound = search._screen(rs, z, vol)(k, phase, log_r)
     assert bound >= exact, (str(rs.ade), k, phase, log_r, bound, exact)
     return bound, exact
 
