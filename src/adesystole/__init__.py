@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 _SOURCES = {
     **dict.fromkeys(
         ("AdeType", "IdentityReport", "RootSystem", "build_root_system", "cartan_matrix",
-         "cartan_pairing", "count_positive_roots", "coxeter_number", "verify_volume_identity"),
+         "count_positive_roots", "coxeter_number", "verify_volume_identity"),
         "roots",
     ),
     **dict.fromkeys(

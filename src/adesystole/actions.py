@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from adesystole.roots import RootClass, RootSystem, _bareiss, _check_class, _check_int, _check_seed
+from adesystole.roots import RootClass, RootSystem, _check_class, _check_int, _check_seed
 from adesystole.stability import (
     REL_TOL, _in_range, _nonzero_charge, as_charge, check_inequality, systole_upper, volume_roots,
 )
@@ -92,20 +92,6 @@ def canonical_heart(rs: RootSystem) -> HeartState:
     """Heart state of the standard heart: the simple classes themselves."""
     n = rs.rank
     return HeartState(simples=tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-
-def validate_heart(rs: RootSystem, heart: HeartState) -> None:
-    """Raise unless the simples are signed positive roots forming a basis."""
-    n = rs.rank
-    if len(heart.simples) != n:
-        raise ValueError(f"heart has {len(heart.simples)} simples, expected {n}")
-    positive = set(rs.positive_roots)
-    for v in heart.simples:
-        if v not in positive and tuple(-c for c in v) not in positive:
-            raise ValueError(f"class {v} is not a positive root up to sign")
-    det = _bareiss(heart.simples)[0]
-    if abs(det) != 1:
-        raise ValueError(f"simple classes do not form a basis (determinant {det})")
 
 
 def _tilt(cartan: np.ndarray, stack: np.ndarray, k0: int) -> np.ndarray:
@@ -211,21 +197,9 @@ class ExchangeGraph:
         dsts = np.repeat(self.targets.ravel(), 2).tolist()
         return tuple(zip(srcs, dsts, positions, cycle((FORWARD, BACKWARD))))
 
-    def adjacency(self) -> dict:
-        return {
-            "rank": self.rank,
-            "depth": self.depth,
-            "complete": self.complete,
-            "nodes": self.stack.tolist(),
-            "edges": [
-                {"src": src, "dst": dst, "position": pos, "direction": direction}
-                for src, dst, pos, direction in self.edges
-            ],
-        }
-
     def json_chunks(self, head: dict | None = None) -> Iterator[str]:
-        """`head`'s fields, then the adjacency, as json.dumps(..., indent=2)
-        renders them, in chunks of at most `_CHUNK_NODES` nodes or sources."""
+        """`head`'s fields, then rank, depth, complete, nodes and edges as json.dumps(...,
+        indent=2) renders them, in chunks of at most `_CHUNK_NODES` nodes or sources."""
         fields = {**(head or {}), "rank": self.rank, "depth": self.depth, "complete": self.complete}
         opening = json.dumps(fields, indent=2)[:-2]  # without the closing "\n}"
         closing = "\n  ]\n}" if len(self.targets) else "]\n}"
@@ -236,9 +210,9 @@ class ExchangeGraph:
         return self._chunks(_DOT, "digraph tilts {\n", "", "", "}")
 
     def human_chunks(self, head: str = "") -> Iterator[str]:
-        """`head`'s lines, then the adjacency's as `cli.render_human` writes them,
-        in chunks.  A list over 100 characters takes one line per item; any 15
-        nodes or 2 edges are, so at most 15 nodes are rendered to decide."""
+        """`head`'s lines, then rank, depth, complete, nodes and edges as `cli.render_human`
+        writes them, in chunks.  A list over 100 characters takes one line per item; any
+        15 nodes or 2 edges are, so at most 15 nodes are rendered to decide."""
         fields = f"rank: {self.rank}\ndepth: {self.depth}\ncomplete: {self.complete}"
         opening = f"{head}\n{fields}" if head else fields
         edges = "\nedges:" if len(self.targets) else "\nedges: []"

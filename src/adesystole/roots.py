@@ -110,32 +110,6 @@ def cartan_matrix(ade: AdeType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in mat)
 
 
-def _bareiss(rows) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
-    """Exact (det, adjugate) of a square integer matrix, or (0, None) if singular;
-    `actions.validate_heart` takes the determinant of a heart's simples from it.
-
-    Fraction-free Gauss-Jordan on [M | I] (Bareiss, Math. Comp. 22, 1968):
-    each division by the previous pivot is exact, and [M | I] ends as
-    [d I | d M^-1] with d = +-det(M), the sign set by the row swaps."""
-    n = len(rows)
-    a = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    sign, prev = 1, 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if a[r][k]), None)
-        if pivot is None:
-            return 0, None
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        row_k, p = a[k], a[k][k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row_k)]
-        prev = p
-    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
-
-
 def _positive_roots(cartan) -> tuple[RootClass, ...]:
     """Positive roots in (height, tuple) order, raised height by height.
 
@@ -228,15 +202,6 @@ def count_positive_roots(ade: AdeType) -> int:
     if ade.family == "D":
         return n * (n - 1)
     return _E_ROOT_COUNT[n]
-
-
-def cartan_pairing(rs: RootSystem, alpha, beta) -> int:
-    """Integer symmetric pairing alpha^T . Cartan . beta."""
-    n = rs.rank
-    if len(alpha) != n or len(beta) != n:
-        raise ValueError("class vector length does not match rank")
-    cartan = rs.cartan
-    return sum(alpha[i] * cartan[i][j] * beta[j] for i in range(n) for j in range(n))
 
 
 @dataclass(frozen=True)

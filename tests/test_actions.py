@@ -27,12 +27,12 @@ from adesystole.actions import (
     reflect_charge,
     reflect_class,
     simple_tilt,
-    validate_heart,
     verify_action_equivariance,
 )
 from adesystole.cli import render_human
 from adesystole.roots import AdeType, build_root_system, count_positive_roots
 from adesystole.stability import evaluate_charge, systole_upper, volume_roots
+from test_roots import _bareiss
 
 A1 = build_root_system(AdeType("A", 1))
 A2 = build_root_system(AdeType("A", 2))
@@ -237,6 +237,20 @@ def test_vertex_and_tilt_position_range(name):
         with pytest.raises(IndexError, match=re.escape(message.format(i))):
             call(i)
     call(np.int64(2))  # a numpy integer is an integer
+
+
+def validate_heart(rs, heart):
+    """Raise unless the simples are signed positive roots forming a basis."""
+    n = rs.rank
+    if len(heart.simples) != n:
+        raise ValueError(f"heart has {len(heart.simples)} simples, expected {n}")
+    positive = set(rs.positive_roots)
+    for v in heart.simples:
+        if v not in positive and tuple(-c for c in v) not in positive:
+            raise ValueError(f"class {v} is not a positive root up to sign")
+    det = _bareiss(heart.simples)[0]
+    if abs(det) != 1:
+        raise ValueError(f"simple classes do not form a basis (determinant {det})")
 
 
 @pytest.mark.parametrize("ade", SMALL_TYPES, ids=str)
@@ -550,6 +564,20 @@ def test_closed_e6_exports_are_pinned():
     assert sha(e6.to_dot()) == "ce0a263cd41cbf88a4c1f8ad8deb264baed87b8e9ed0ed64f6617db2c0788da8"
 
 
+def adjacency(graph):
+    """The graph's fields as plain Python values: the oracle of its JSON and human exports."""
+    return {
+        "rank": graph.rank,
+        "depth": graph.depth,
+        "complete": graph.complete,
+        "nodes": graph.stack.tolist(),
+        "edges": [
+            {"src": src, "dst": dst, "position": pos, "direction": direction}
+            for src, dst, pos, direction in graph.edges
+        ],
+    }
+
+
 def _json_cases():
     ades = [AdeType("A", n) for n in range(1, 7)] + [AdeType("D", 4), AdeType("D", 5)]
     for ade in ades:
@@ -562,7 +590,7 @@ def _json_cases():
 @pytest.mark.parametrize("ade,depth", _json_cases())
 def test_to_json_matches_stdlib_indent(ade, depth):
     graph = exchange_graph(build_root_system(ade), depth)
-    assert graph.to_json() == json.dumps(graph.adjacency(), indent=2)
+    assert graph.to_json() == json.dumps(adjacency(graph), indent=2)
 
 
 def _reference_to_dot(graph):
@@ -589,8 +617,8 @@ def test_human_chunks_match_render_human_of_the_adjacency(ade, depth):
     graph = exchange_graph(build_root_system(ade), depth)
     head = {"schema_version": 1, "command": "tilt-graph", "inputs": {"family": ade.family, "depth": depth}}
     text = "".join(graph.human_chunks(render_human(head)))
-    assert text == render_human({**head, **graph.adjacency()})
-    assert "".join(graph.human_chunks()) == render_human(graph.adjacency())
+    assert text == render_human({**head, **adjacency(graph)})
+    assert "".join(graph.human_chunks()) == render_human(adjacency(graph))
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 7])
@@ -600,9 +628,9 @@ def test_exports_across_chunk_boundaries(monkeypatch, chunk, ade, depth):
     graph = exchange_graph(build_root_system(ade), depth)
     chunks = list(graph.json_chunks())
     assert len(chunks) == 4 + -(-len(graph.stack) // chunk) + -(-len(graph.targets) // chunk)
-    assert "".join(chunks) == json.dumps(graph.adjacency(), indent=2)
+    assert "".join(chunks) == json.dumps(adjacency(graph), indent=2)
     assert graph.to_dot() == _reference_to_dot(graph)
-    assert "".join(graph.human_chunks()) == render_human(graph.adjacency())
+    assert "".join(graph.human_chunks()) == render_human(adjacency(graph))
 
 
 def _lone_node_graph():
@@ -613,7 +641,7 @@ def _lone_node_graph():
 def test_human_chunks_of_an_edgeless_graph():
     graph = _lone_node_graph()
     text = "".join(graph.human_chunks("command: tilt-graph"))
-    assert text == render_human({"command": "tilt-graph", **graph.adjacency()})
+    assert text == render_human({"command": "tilt-graph", **adjacency(graph)})
     assert text.endswith("\nnodes: [[[1]]]\nedges: []")
 
 
@@ -623,8 +651,8 @@ def test_human_chunks_keep_the_100_character_line(values, width):
     stack, targets = np.array(values, np.int8).reshape(-1, 1, 1), np.arange(1, len(values), dtype=np.int32)[:, None]
     graph = ExchangeGraph(1, stack, targets, tuple(range(len(values) + 1)), len(values), False)
     assert graph.edges[-1] == (len(values) - 2, len(values) - 1, 1, BACKWARD)
-    assert len(json.dumps(graph.adjacency()["nodes"])) == width
-    assert "".join(graph.human_chunks()) == render_human(graph.adjacency())
+    assert len(json.dumps(adjacency(graph)["nodes"])) == width
+    assert "".join(graph.human_chunks()) == render_human(adjacency(graph))
 
 
 def test_human_chunks_decide_the_node_line_from_15_nodes(monkeypatch):
@@ -633,14 +661,14 @@ def test_human_chunks_decide_the_node_line_from_15_nodes(monkeypatch):
     graph = exchange_graph(A5, closing_depth(A5))
     chunks = graph.human_chunks()
     assert spans == [15]  # decided before the first chunk, from 15 of the 720 nodes
-    assert "".join(chunks) == render_human(graph.adjacency())
+    assert "".join(chunks) == render_human(adjacency(graph))
 
 
 def test_to_json_head_and_empty_arrays_match_stdlib():
     head = {"schema_version": 1, "inputs": {"family": "A", "tag": 'q"\n'}, "empty": {}, "none": []}
     graph = _lone_node_graph()
-    assert graph.to_json() == json.dumps(graph.adjacency(), indent=2)
-    assert graph.to_json(head) == json.dumps({**head, **graph.adjacency()}, indent=2)
+    assert graph.to_json() == json.dumps(adjacency(graph), indent=2)
+    assert graph.to_json(head) == json.dumps({**head, **adjacency(graph)}, indent=2)
 
 
 def test_depth_cap_leaves_frontier_unexpanded():

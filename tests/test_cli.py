@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adesystole import _csvdigits, actions, cli, roots, search
+from test_actions import adjacency
 
 
 def run_cli(capsys, *argv):
@@ -202,7 +203,7 @@ def test_tilt_graph_json_equals_stdlib_rendering(capsys, tmp_path, family, rank,
         "schema_version": cli.SCHEMA_VERSION,
         "command": "tilt-graph",
         "inputs": {"family": family, "rank": rank, "depth": depth},
-        **graph.adjacency(),
+        **adjacency(graph),
     }
     expected = json.dumps(payload, indent=2) + "\n"
     argv = ["tilt-graph", "--family", family, "--rank", str(rank), "--depth", str(depth), "--output", "json"]

@@ -14,9 +14,8 @@ from adesystole.actions import (
     canonical_heart,
     reflect_charge,
     simple_tilt,
-    validate_heart,
 )
-from adesystole.roots import AdeType, _bareiss, build_root_system, count_positive_roots
+from adesystole.roots import AdeType, build_root_system, count_positive_roots
 from adesystole.search import SearchConfig
 from adesystole.stability import (
     REL_TOL,
@@ -26,8 +25,9 @@ from adesystole.stability import (
     volume_basis,
     volume_roots,
 )
-from test_actions import assert_graph_matches_reference
+from test_actions import assert_graph_matches_reference, validate_heart
 from test_milnor import assert_poly_matches_reference
+from test_roots import _bareiss
 from test_search import (
     assert_optimize_matches_reference,
     assert_sample_matches_reference,
