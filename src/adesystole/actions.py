@@ -14,9 +14,11 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from functools import cached_property
-from itertools import accumulate, cycle
+from functools import cached_property, partial
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -177,8 +179,9 @@ class ExchangeGraph:
 
     `nodes` (tuples of class tuples) and `edges` ((source, target,
     position, direction), source-major, position-minor, forward first) are
-    tuple views of the arrays, built on first access and kept; the JSON,
-    DOT and human exports never build them.
+    read-only sequences over the arrays: each item is computed when it is
+    read and none is kept, so they take O(1) memory at any graph size.  The
+    JSON, DOT and human exports read the arrays, not these views.
     """
 
     def __init__(self, rank: int, stack, targets, levels: tuple[int, ...], depth: int, complete: bool):
@@ -186,16 +189,12 @@ class ExchangeGraph:
         self.depth, self.complete = depth, complete
 
     @cached_property
-    def nodes(self) -> tuple[tuple[RootClass, ...], ...]:
-        return _node_tuples(self.stack)
+    def nodes(self) -> Sequence[tuple[RootClass, ...]]:
+        return _View(len(self.stack), 1, partial(_node_items, self.stack))
 
     @cached_property
-    def edges(self) -> tuple[tuple[int, int, int, str], ...]:
-        m, n = self.targets.shape
-        srcs = np.repeat(np.arange(m), 2 * n).tolist()
-        positions = np.tile(np.repeat(np.arange(1, n + 1), 2), m).tolist()
-        dsts = np.repeat(self.targets.ravel(), 2).tolist()
-        return tuple(zip(srcs, dsts, positions, cycle((FORWARD, BACKWARD))))
+    def edges(self) -> Sequence[tuple[int, int, int, str]]:
+        return _View(2 * self.targets.size, 2 * self.rank, partial(_edge_items, self.targets))
 
     def json_chunks(self, head: dict | None = None) -> Iterator[str]:
         """`head`'s fields, then rank, depth, complete, nodes and edges as json.dumps(...,
@@ -335,13 +334,51 @@ def _row_bytes(array: np.ndarray, width: int) -> list[bytes]:
     return array.reshape(-1, width).view(f"V{array.itemsize * width}").ravel().tolist()
 
 
-def _node_tuples(stack: np.ndarray) -> tuple[tuple[RootClass, ...], ...]:
-    """Nodes as tuples of class tuples; equal classes share one tuple."""
-    n = stack.shape[1]
-    keys = _row_bytes(stack, n)
+class _View(Sequence):
+    """A read-only sequence of `length` items, each computed when read and never
+    kept: `items(idx)` lists those at an int64 index array.  Iteration lists
+    `_CHUNK_NODES` nodes' items, `per_node` a node, at a time.  The view equals any
+    sequence of equal items, and defining `__eq__` leaves it unhashable."""
+
+    def __init__(self, length: int, per_node: int, items):
+        self._length, self._per_node, self._items = length, per_node, items
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            r = range(self._length)[i]
+            return tuple(self._items(np.arange(r.start, r.stop, r.step)))
+        i = operator.index(i)
+        if not -self._length <= i < self._length:
+            raise IndexError(f"index {i} out of range for {self._length} items")
+        return self._items(np.array([i % self._length]))[0]
+
+    def __iter__(self):
+        step = _CHUNK_NODES * self._per_node
+        for a in range(0, self._length, step):
+            yield from self._items(np.arange(a, min(a + step, self._length)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+def _node_items(stack: np.ndarray, idx: np.ndarray) -> list[tuple[RootClass, ...]]:
+    """The nodes at idx, each a tuple of its n class tuples; equal classes share one tuple."""
+    n, keys = stack.shape[1], _row_bytes(stack[idx], stack.shape[1])
     vector = {key: tuple(np.frombuffer(key, dtype=stack.dtype).tolist()) for key in set(keys)}
-    classes = list(map(vector.__getitem__, keys))
-    return tuple(tuple(classes[i : i + n]) for i in range(0, len(classes), n))
+    return list(zip(*[map(vector.__getitem__, keys)] * n))
+
+
+def _edge_items(targets: np.ndarray, idx: np.ndarray) -> list[tuple[int, int, int, str]]:
+    """The edges at idx: edge 2n i + 2(k - 1) + d is the tilt at position k
+    from node i, forward if d is 0 and backward if it is 1."""
+    src, rest = np.divmod(idx, 2 * targets.shape[1])
+    pos, directions = rest >> 1, map((FORWARD, BACKWARD).__getitem__, (idx & 1).tolist())
+    return list(zip(src.tolist(), targets[src, pos].tolist(), (pos + 1).tolist(), directions))
 
 
 @dataclass(frozen=True)

@@ -242,9 +242,11 @@ def sample_ratios(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
 
 
 def _ratio_parts(rs: RootSystem, z: np.ndarray) -> tuple[float, float]:
-    """(ratio, volume) of a charge: a start or a trial of the search."""
-    vol = _volume(rs, _root_moduli(rs, z))
-    sys_up = float(np.minimum.reduce(np.abs(z)))
+    """(ratio, volume) of a charge: a start or a trial of the search.  The first
+    n root moduli are |z_i| (the positive roots begin with the simples)."""
+    moduli = _root_moduli(rs, z)
+    vol = _volume(rs, moduli)
+    sys_up = float(np.minimum.reduce(moduli[: rs.rank]))
     return sys_up**2 / vol, vol
 
 

@@ -20,7 +20,6 @@ from adesystole.actions import (
     act_scaling,
     canonical_heart,
     _level_widths,
-    _node_tuples,
     _row_bytes,
     _tilt,
     exchange_graph,
@@ -365,6 +364,26 @@ def _reference_exchange_graph(rs, max_depth):
     return _node_tuples(np.concatenate(levels)), tuple(edges), not len(level)
 
 
+def _node_tuples(stack):
+    """Nodes as tuples of class tuples, equal classes sharing one tuple: the
+    reference for `ExchangeGraph.nodes`, built whole."""
+    n = stack.shape[1]
+    keys = _row_bytes(stack, n)
+    vector = {key: tuple(np.frombuffer(key, dtype=stack.dtype).tolist()) for key in set(keys)}
+    classes = list(map(vector.__getitem__, keys))
+    return tuple(tuple(classes[i : i + n]) for i in range(0, len(classes), n))
+
+
+def _edge_tuples(targets):
+    """Every (source, target, position, direction), source-major, position-minor,
+    forward first: the reference for `ExchangeGraph.edges`, built whole."""
+    m, n = targets.shape
+    srcs = np.repeat(np.arange(m), 2 * n).tolist()
+    positions = np.tile(np.repeat(np.arange(1, n + 1), 2), m).tolist()
+    dsts = np.repeat(targets.ravel(), 2).tolist()
+    return tuple(zip(srcs, dsts, positions, cycle((FORWARD, BACKWARD))))
+
+
 def assert_graph_matches_reference(rs, depth):
     graph = exchange_graph(rs, depth)
     assert (graph.nodes, graph.edges, graph.complete) == _reference_exchange_graph(rs, depth)
@@ -530,6 +549,21 @@ def test_graph_arrays_back_the_tuple_views():
     assert graph.nodes is graph.nodes and graph.edges is graph.edges
 
 
+def test_views_of_closed_e6_are_not_built_whole():
+    graph = exchange_graph(E6, 37)
+    tracemalloc.start()
+    try:
+        for view in (graph.nodes, graph.edges):
+            assert len(view) and view[-1] and view[0]
+            for _ in view:
+                pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Built whole, as tuples, the two views took about 94 MB.
+    assert peak < 8e6, peak
+
+
 def test_writers_stream_the_exports():
     a6 = build_root_system(AdeType("A", 6))
     graph = exchange_graph(a6, closing_depth(a6))
@@ -636,6 +670,37 @@ def test_exports_across_chunk_boundaries(monkeypatch, chunk, ade, depth):
 def _lone_node_graph():
     """The start node of a rank-1 graph, left unexpanded."""
     return ExchangeGraph(1, np.ones((1, 1, 1), np.int8), np.empty((0, 1), np.int32), (0, 1), 1, False)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize(
+    "graph",
+    [exchange_graph(A3, closing_depth(A3)), exchange_graph(D4, 3), _lone_node_graph()],
+    ids=["A3-closed", "D4-3", "lone"],
+)
+def test_views_match_the_built_tuples_across_chunk_boundaries(monkeypatch, chunk, graph):
+    monkeypatch.setattr("adesystole.actions._CHUNK_NODES", chunk)
+    for view, reference in ((graph.nodes, _node_tuples(graph.stack)), (graph.edges, _edge_tuples(graph.targets))):
+        assert len(view) == len(reference)
+        assert tuple(view) == reference
+        assert [view[i] for i in range(-len(view), len(view))] == [*reference, *reference]
+        # json.dumps rejects numpy integers: the items hold Python ints and strs.
+        assert json.dumps(view[:]) == json.dumps(reference)
+        if reference:
+            assert view[np.int64(-1)] == reference[-1]
+            assert view != reference[:-1] and view != [None, *reference[1:]]
+        for part in (slice(None), slice(1, 5), slice(-4, None), slice(None, None, -3), slice(7, 2), slice(2, 99, 5)):
+            assert view[part] == reference[part] and type(view[part]) is tuple
+        with pytest.raises(IndexError):
+            view[len(view)]
+        with pytest.raises(IndexError):
+            view[-len(view) - 1]
+        with pytest.raises(TypeError):
+            view[1.0]
+        assert view == reference and reference == view and view == list(reference)
+        assert view != [*reference, None] and view != 5
+        with pytest.raises(TypeError):
+            hash(view)
 
 
 def test_human_chunks_of_an_edgeless_graph():
