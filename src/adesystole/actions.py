@@ -40,10 +40,25 @@ def act_scaling(Z, zeta: complex) -> np.ndarray:
     """Rescale a charge by exp(-i pi zeta).
 
     Only the charge component of the action is tracked; the phase-window
-    shift by Re(zeta) has no effect on class-level quantities.
+    shift by Re(zeta) has no effect on class-level quantities.  A zeta that
+    is not finite, or whose factor or product leaves the float range (an
+    entry that is not finite, or a nonzero entry that becomes 0), is a
+    ValueError.
     """
     z = as_charge(Z)
-    return z * cmath.exp(-1j * math.pi * zeta)
+    zeta = complex(zeta)
+    out_of_range = f"zeta = {zeta} rescales the charge out of floating-point range"
+    if not cmath.isfinite(zeta):
+        raise ValueError(out_of_range)
+    try:
+        factor = cmath.exp(-1j * math.pi * zeta)
+    except (OverflowError, ValueError):  # exp overflows, or pi Re(zeta) does
+        raise ValueError(out_of_range) from None
+    with np.errstate(all="ignore"):
+        out = z * factor
+    if not np.isfinite(out).all() or np.count_nonzero(out) < np.count_nonzero(z):
+        raise ValueError(out_of_range)
+    return out
 
 
 def _check_vertex(rs: RootSystem, i: int) -> int:
@@ -70,7 +85,11 @@ def reflect_charge(rs: RootSystem, i: int, Z) -> np.ndarray:
     """
     i0 = _check_vertex(rs, i)
     z = as_charge(Z, rs.rank)
-    return z - rs.cartan_array[i0] * z[i0]
+    with np.errstate(all="ignore"):
+        out = z - rs.cartan_array[i0] * z[i0]
+    if not np.isfinite(out).all():
+        raise ValueError(f"charge is out of float range: its reflection at vertex {i} evaluates to {out.tolist()}")
+    return out
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from adesystole.roots import MAX_RANK_AD, AdeType, _check_int, build_root_system
-from adesystole.stability import _NORMAL_MIN, _in_range
+from adesystole.stability import _NORMAL_MIN, _score
 
 DISTINCT_REL_TOL = 1e-12
 AREA_REL_TOL = 1e-9
@@ -191,10 +191,9 @@ def verify_correspondence(p: PointConfiguration) -> CorrespondenceReport:
     z = induced_charge(p)
     n = p.n
     classes = build_root_system(AdeType("A", n)).complex_root_matrix if n <= MAX_RANK_AD else _segment_classes(n)
-    moduli = np.abs(classes @ z)
-    vol = _in_range(float(moduli @ moduli) / (p.n + 1), z)
+    sys_lower, vol = _score(classes, z, n, n + 1)[2:]
     sys_geo = geometric_systole(p)
-    sys_cat = math.pi * float(np.minimum.reduce(moduli))
+    sys_cat = math.pi * sys_lower
     vol_geo = geometric_volume(p)
     vol_cat = math.pi**2 * vol
     return CorrespondenceReport(

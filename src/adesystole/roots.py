@@ -157,15 +157,10 @@ class RootSystem:
         return np.array([[float(x) for x in row] for row in self.cartan_inv])
 
     @cached_property
-    def root_matrix(self) -> np.ndarray:
-        """Positive roots stacked as rows of a float array."""
-        return np.array(self.positive_roots, dtype=np.float64)
-
-    @cached_property
     def complex_root_matrix(self) -> np.ndarray:
-        """`root_matrix` cast once to complex128, so a product with a complex
-        charge does not cast the whole matrix again on every call."""
-        return self.root_matrix.astype(np.complex128)
+        """Positive roots stacked as rows of a complex128 array, so a product
+        with a complex charge does not cast the whole matrix on every call."""
+        return np.array(self.positive_roots, dtype=np.complex128)
 
 
 @lru_cache(maxsize=None)
@@ -222,10 +217,11 @@ def verify_volume_identity(rs: RootSystem) -> IdentityReport:
     """Check, in exact arithmetic, that for every pair i <= j the (i,j)
     entry of the inverse Cartan matrix is the sum of c_i(M)c_j(M) over the
     positive roots M divided by the Coxeter number, a/b = g/h as a h = g b in
-    integers.  The sums are R^T R, R = `root_matrix`, in floats but exact:
+    integers.  The sums are R^T R, R the positive roots as float rows, exact:
     no root coefficient passes 6, so no partial sum passes |Phi+| 6^2 < 2^53."""
     n, h = rs.rank, rs.coxeter
-    gram = (rs.root_matrix.T @ rs.root_matrix).astype(np.int64).tolist()
+    r = np.array(rs.positive_roots, dtype=np.float64)
+    gram = (r.T @ r).astype(np.int64).tolist()
     failures = []
     for i in range(n):
         for j in range(i, n):

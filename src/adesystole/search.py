@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from adesystole.roots import RootSystem, _check_int, _check_seed
-from adesystole.stability import _root_moduli, _volume, check_inequality
+from adesystole.stability import _score
 
 # Phases are kept this far inside (0, 1); the supremum can sit on the wall.
 PHASE_MARGIN = 1e-7
@@ -108,9 +108,9 @@ class SearchResult:
 
     `ratios_of(part)` is the ratio column over a slice, `ratios` all of it.
     A sampler result derives each slice from sys_upper and volumes per
-    call; the optimizer stores its column, each restart's
-    `check_inequality` ratio_upper, whose Python `x**2` (libm pow) can
-    differ from numpy's square in the last bit.
+    call; the optimizer stores its column, each restart's `_score` ratio,
+    whose Python `x**2` (libm pow) can differ from numpy's square in the
+    last bit.
     """
 
     best_ratio: float
@@ -241,15 +241,6 @@ def sample_ratios(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
     return SearchResult(best_ratio, best_charge, violating, histogram, rs.bound, sys_up, sys_lo, vol)
 
 
-def _ratio_parts(rs: RootSystem, z: np.ndarray) -> tuple[float, float]:
-    """(ratio, volume) of a charge: a start or a trial of the search.  The first
-    n root moduli are |z_i| (the positive roots begin with the simples)."""
-    moduli = _root_moduli(rs, z)
-    vol = _volume(rs, moduli)
-    sys_up = float(np.minimum.reduce(moduli[: rs.rank]))
-    return sys_up**2 / vol, vol
-
-
 # A trial entry from `cmath` and numpy's `_charge` of one entry differ by a
 # few ulps of pow and exp (numpy's AVX-512 loops allow 4, libm's 1); the
 # screen allows a relative gap of 2^-47 and widens moduli and ratios by 2^-46.
@@ -259,7 +250,7 @@ _WIDEN = 1.0 + 2.0 * _ENTRY_GAP
 
 def _screen(rs: RootSystem, z: np.ndarray, vol: float):
     """The trial screen of charge z, whose root-route volume is vol:
-    `bound(k, phase, log_r)` is an upper bound on the ratio `_ratio_parts`
+    `bound(k, phase, log_r)` is an upper bound on the ratio `_score`
     returns for z with entry k replaced by `_charge` of (phase, log_r), or
     inf.
 
@@ -327,13 +318,13 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
     its box, so a trial clamps that coordinate alone; one clamped onto the
     current point is the current point.  Any other trial is screened, and
     only a trial whose `screen` bound reaches min(ratio, limit) is
-    evaluated exactly, by `_charge` of its entry and `_ratio_parts`.  A screened-out trial would be neither
-    accepted nor counted as violating, so every result is bit-identical
-    to evaluating every trial.  Each restart is reported by one
-    `check_inequality`.
+    evaluated exactly, by `_charge` of its entry and `_score`.  A
+    screened-out trial would be neither accepted nor counted as violating,
+    so every result is bit-identical to evaluating every trial.  Each
+    restart's table row is the `_score` of its accepted point.
     """
     rng = np.random.default_rng(cfg.seed)
-    n = rs.rank
+    n, h, roots = rs.rank, rs.coxeter, rs.complex_root_matrix
     limit = float(rs.bound) * (1.0 + VIOLATION_REL_TOL)
     box = [(PHASE_MARGIN, 1.0 - PHASE_MARGIN)] * n + [_LOG_R_RANGE] * n
     table = np.empty((4, cfg.restarts))  # each restart's ratio, sys_upper, sys_lower, volume
@@ -342,10 +333,11 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
         phase = rng.uniform(PHASE_MARGIN, 1.0 - PHASE_MARGIN, size=n)
         log_r = rng.uniform(*_LOG_R_RANGE, size=n)
         z = np.concatenate([_charge(phase[k : k + 1], log_r[k : k + 1]) for k in range(n)])
-        ratio, vol = _ratio_parts(rs, z)
+        score = _score(roots, z, n, h)
+        ratio = score[0]
         violating += ratio > limit
         params = phase.tolist() + log_r.tolist()
-        screen = _screen(rs, z, vol)
+        screen = _screen(rs, z, score[3])
         cutoff = min(ratio, limit)
         step = STEP_INIT
         for _ in range(MAX_ITERS):
@@ -363,21 +355,21 @@ def optimize_ratio(rs: RootSystem, cfg: SearchConfig) -> SearchResult:
                         continue
                     trial_z = z.copy()
                     trial_z[k : k + 1] = _charge(np.array([trial[k]]), np.array([trial[n + k]]))
-                    trial_ratio, trial_vol = _ratio_parts(rs, trial_z)
-                    violating += trial_ratio > limit
-                    if trial_ratio > ratio:
-                        params, z, ratio = trial, trial_z, trial_ratio
-                        screen = _screen(rs, z, trial_vol)
+                    trial_score = _score(roots, trial_z, n, h)
+                    violating += trial_score[0] > limit
+                    if trial_score[0] > ratio:
+                        params, z, score = trial, trial_z, trial_score
+                        ratio = score[0]
+                        screen = _screen(rs, z, score[3])
                         cutoff = min(ratio, limit)
                         improved = True
             if not improved:
                 step /= 2.0
                 if step < STEP_MIN:
                     break
-        report = check_inequality(rs, z)
-        table[:, restart] = report.ratio_upper, report.sys_upper, report.sys_lower, report.volume
-        if report.ratio_upper > best_ratio:  # gauge: report the volume-1 representative
-            best_ratio, best_charge = report.ratio_upper, z / np.sqrt(report.volume)
+        table[:, restart] = score
+        if ratio > best_ratio:  # gauge: report the volume-1 representative
+            best_ratio, best_charge = ratio, z / np.sqrt(score[3])
 
     ratios, sys_up, sys_lo, vol = table
     histogram = _scan(ratios.__getitem__, cfg.restarts, float(rs.bound))[3]

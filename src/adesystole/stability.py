@@ -8,8 +8,9 @@ over the positive roots M.  The systole is bracketed: the minimum over
 the simples bounds it above, the minimum over all positive roots bounds
 it below.  A call checks its charge in one pass over `z.tolist()`; what
 is left of its cost is numpy's dispatch of R @ z, abs and one ufunc
-reduction per minimum (`check_inequality` takes both of its minima from
-one `reduceat`).  The products stay `@`: `np.dot` is faster, but it names
+reduction per minimum.  `_score`, the one scorer behind `check_inequality`,
+the optimizer and the Milnor correspondence, takes both minima from one
+`reduceat`.  The products stay `@`: `np.dot` is faster, but it names
 itself in the overflow warnings that an out-of-range charge raises.
 """
 
@@ -72,7 +73,12 @@ def _in_range(vol: float, z: np.ndarray, sys_upper: float | None = None) -> floa
 def evaluate_charge(rs: RootSystem, Z, alpha: RootClass) -> complex:
     """Value of the charge on a class vector: sum of c_i(alpha) * Z_i."""
     z = as_charge(Z, rs.rank)
-    return complex(np.dot(np.asarray(_check_class(alpha, rs.rank), dtype=np.float64), z))
+    alpha = _check_class(alpha, rs.rank)
+    with np.errstate(all="ignore"):
+        value = complex(np.dot(np.asarray(alpha, dtype=np.float64), z))
+    if not cmath.isfinite(value):
+        raise ValueError(f"charge is out of float range: its value on {alpha} evaluates to {value!r}")
+    return value
 
 
 def volume_basis(rs: RootSystem, Z) -> float:
@@ -93,19 +99,32 @@ def volume_basis(rs: RootSystem, Z) -> float:
     return vol
 
 
-def _root_moduli(rs: RootSystem, z: np.ndarray) -> np.ndarray:
-    """|Z(M)| over the positive roots M of an already validated charge."""
-    return np.abs(rs.complex_root_matrix @ z)
+def _root_moduli(classes: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """|Z(M)| over the rows M of `classes` for an already validated charge."""
+    return np.abs(classes @ z)
 
 
-def _volume(rs: RootSystem, moduli: np.ndarray) -> float:
-    return float(moduli @ moduli) / rs.coxeter
+def _volume(moduli: np.ndarray, coxeter: int, z: np.ndarray) -> float:
+    """The root-sum volume of z from its root moduli, checked by `_in_range`."""
+    return _in_range(float(moduli @ moduli) / coxeter, z)
+
+
+def _score(classes: np.ndarray, z: np.ndarray, rank: int, coxeter: int) -> tuple[float, float, float, float]:
+    """(ratio, sys_upper, sys_lower, volume) of an already validated charge
+    z from its moduli over the positive roots `classes`.  The roots begin
+    with the `rank` simples, so the minimum over the first `rank` moduli is
+    sys_upper; A1 has no root after its simple, and cuts (0, 0) give its
+    one modulus twice."""
+    moduli = _root_moduli(classes, z)
+    vol = _volume(moduli, coxeter, z)
+    sys_up, rest = np.minimum.reduceat(moduli, (0, rank % len(moduli))).tolist()
+    return sys_up**2 / vol, sys_up, min(sys_up, rest), vol
 
 
 def volume_roots(rs: RootSystem, Z) -> float:
     """Volume via the root sum: (1/h) * sum over positive roots of |Z(M)|^2."""
     z = as_charge(Z, rs.rank)
-    return _in_range(_volume(rs, _root_moduli(rs, z)), z)
+    return _volume(_root_moduli(rs.complex_root_matrix, z), rs.coxeter, z)
 
 
 def systole_upper(rs: RootSystem, Z) -> float:
@@ -119,7 +138,7 @@ def systole_lower(rs: RootSystem, Z) -> float:
     """Lower systole bound min over all positive roots of |Z(M)|; every
     stable class is a positive root up to sign, so nothing stable can have
     smaller modulus."""
-    return float(np.minimum.reduce(_root_moduli(rs, _nonzero_charge(rs, Z))))
+    return float(np.minimum.reduce(_root_moduli(rs.complex_root_matrix, _nonzero_charge(rs, Z))))
 
 
 def heart_membership(Z) -> bool:
@@ -161,21 +180,15 @@ def check_inequality(rs: RootSystem, Z) -> SystolicReport:
     """Evaluate the systolic inequality sys^2 <= (h/n) vol at the charge Z,
     using the upper systole bound (which dominates the true systole).
 
-    The charge is validated and its root moduli computed once; the first n
-    moduli are |Z_i| (the positive roots begin with the simples), so the
-    fields equal volume_roots, systole_upper and systole_lower exactly."""
-    z = _nonzero_charge(rs, Z)
-    moduli = _root_moduli(rs, z)
-    vol = _in_range(_volume(rs, moduli), z)
-    # The minima over the simples and over the roots after them; A1 has no
-    # root after its simple, and cuts (0, 0) give its one modulus twice.
-    sys_up, rest = np.minimum.reduceat(moduli, (0, rs.rank % len(moduli))).tolist()
+    The charge is validated and scored by `_score`, so the fields equal
+    volume_roots, systole_upper and systole_lower exactly."""
+    ratio, sys_up, sys_lo, vol = _score(rs.complex_root_matrix, _nonzero_charge(rs, Z), rs.rank, rs.coxeter)
     bound = rs.bound
     return SystolicReport(
-        sys_lower=min(sys_up, rest),
+        sys_lower=sys_lo,
         sys_upper=sys_up,
         volume=vol,
-        ratio_upper=sys_up**2 / vol,
+        ratio_upper=ratio,
         bound=bound,
         slack=float(bound) * vol - sys_up**2,
     )

@@ -87,6 +87,30 @@ def test_scaling_modulus_rule():
         assert np.abs(out) == pytest.approx(math.exp(math.pi * complex(zeta).imag) * np.abs(z))
 
 
+@pytest.mark.parametrize(
+    "z, zeta",
+    [
+        ([1j, 2j], math.nan),
+        ([1j, 2j], complex(0, math.inf)),
+        ([1j, 2j], 1000j),  # exp(1000 pi) overflows
+        ([1j, 2j], -1000j),  # exp(-1000 pi) is 0, and so is every entry
+        ([1j, 2j], 1e308),  # pi Re(zeta) overflows
+        ([1e300j, 1j], 100j),  # a factor of about 1e136 sends an entry to inf
+        ([1e-300j, 1j], -100j),  # and to 0
+    ],
+    ids=str,
+)
+def test_scaling_out_of_float_range_is_bad_input(z, zeta):
+    # A ValueError and no RuntimeWarning (an error under this suite's config).
+    message = f"zeta = {complex(zeta)} rescales the charge out of floating-point range"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        act_scaling(z, zeta)
+
+
+def test_scaling_keeps_zero_entries():
+    assert np.array_equal(act_scaling([0j, 1j], -100j) != 0, [False, True])
+
+
 # == Reflections =============================================================
 
 def test_reflect_class_examples():
@@ -144,6 +168,13 @@ def test_reflect_charge_examples():
     out = reflect_charge(A2, 1, [2 + 1j, 5 - 1j])
     assert out == pytest.approx(np.array([-2 - 1j, 7 + 0j]))
     assert reflect_charge(A1, 1, [3 + 4j]) == pytest.approx(np.array([-3 - 4j]))
+
+
+def test_reflect_charge_out_of_float_range_is_bad_input():
+    # 2 * 1e308 overflows: a ValueError, where numpy would return -inf and warn.
+    with pytest.raises(ValueError, match=re.escape("charge is out of float range: its reflection at vertex 1")):
+        reflect_charge(A2, 1, [1e308, -1e308])
+    assert reflect_charge(A2, 1, [1e307, 1e308]) == pytest.approx(np.array([-1e307, 1.1e308]))
 
 
 def test_reflect_charge_involution():

@@ -379,9 +379,11 @@ def _reference_optimize(rs, cfg):
     def params_to_charge(x):
         return 10.0 ** x[n:] * np.exp(1j * np.pi * x[:n])
 
+    roots = np.array(rs.positive_roots, dtype=float)
+
     def evaluate(x):
         z = params_to_charge(x)
-        moduli = np.abs(rs.root_matrix @ z)
+        moduli = np.abs(roots @ z)
         vol = float(moduli @ moduli) / rs.coxeter
         sys_up = float(np.abs(z).min())
         return sys_up**2 / vol, sys_up, float(moduli.min()), vol
@@ -494,7 +496,7 @@ def test_the_screen_drops_most_trials(monkeypatch, family, rank, seed, restarts,
     # The results cannot tell a search that screens from one that evaluates
     # every trial, about 5x slower.  The screen sees every trial that is not
     # a no-op, a count fixed by the search path and by float compares; each
-    # start and each trial the screen lets through is one `_ratio_parts`.
+    # start and each trial the screen lets through is one `_score`.
     # Exact evaluations are bounded, not pinned: `_screen`'s BLAS product can
     # move a near-tie trial across the screen on another numpy.
     calls = {"screen": 0, "exact": 0}
@@ -507,11 +509,15 @@ def test_the_screen_drops_most_trials(monkeypatch, family, rank, seed, restarts,
 
     screen = search._screen
     monkeypatch.setattr(search, "_screen", lambda *args: counted("screen", screen(*args)))
-    monkeypatch.setattr(search, "_ratio_parts", counted("exact", search._ratio_parts))
+    monkeypatch.setattr(search, "_score", counted("exact", search._score))
     rs = build_root_system(AdeType(family, rank))
     optimize_ratio(rs, SearchConfig(seed=seed, restarts=restarts))
     assert calls["screen"] == screened
     assert 0 < calls["exact"] - restarts <= screened / 3
+
+
+def _score(rs, z):
+    return search._score(rs.complex_root_matrix, z, rs.rank, rs.coxeter)
 
 
 def _start(rs, rng, log_r=(-3.0, 3.0)):
@@ -521,7 +527,7 @@ def _start(rs, rng, log_r=(-3.0, 3.0)):
     x[:n] = rng.uniform(search.PHASE_MARGIN, 1.0 - search.PHASE_MARGIN, size=n)
     x[n:] = rng.uniform(*log_r, size=n)
     z = search._charge(x[:n], x[n:])
-    return x, z, search._ratio_parts(rs, z)[1]
+    return x, z, _score(rs, z)[3]
 
 
 def _assert_bound_holds(rs, x, z, vol, k, phase, log_r):
@@ -532,7 +538,7 @@ def _assert_bound_holds(rs, x, z, vol, k, phase, log_r):
     trial[k], trial[n + k] = phase, log_r
     trial_z = z.copy()
     trial_z[k : k + 1] = search._charge(trial[k : k + 1], trial[n + k : n + k + 1])
-    exact = search._ratio_parts(rs, trial_z)[0]
+    exact = _score(rs, trial_z)[0]
     bound = search._screen(rs, z, vol)(k, phase, log_r)
     assert bound >= exact, (str(rs.ade), k, phase, log_r, bound, exact)
     return bound, exact

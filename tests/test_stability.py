@@ -3,6 +3,7 @@ bounds, the inequality report, and heart membership."""
 
 import cmath
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -73,6 +74,13 @@ def test_evaluate_charge_basis_vector():
 def test_evaluate_charge_sums():
     assert evaluate_charge(A2, [1j, 1j], (1, 1)) == 2j
     assert evaluate_charge(A3, [1 + 1j, 2j, -1 + 1j], (1, 1, 1)) == pytest.approx(4j)
+
+
+def test_evaluate_charge_out_of_float_range_is_bad_input():
+    # The sum overflows: a ValueError, where numpy would return inf and warn.
+    with pytest.raises(ValueError, match=re.escape("charge is out of float range: its value on (1, 1) evaluates to (inf+0j)")):
+        evaluate_charge(A2, [1e308, 1e308], (1, 1))
+    assert evaluate_charge(A2, [1e308, -1e308], (1, 1)) == 0
 
 
 def test_evaluate_charge_dimension_mismatch():
