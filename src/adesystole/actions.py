@@ -87,6 +87,10 @@ def reflect_charge(rs: RootSystem, i: int, Z) -> np.ndarray:
     z = as_charge(Z, rs.rank)
     with np.errstate(all="ignore"):
         out = z - rs.cartan_array[i0] * z[i0]
+    if not np.isfinite(out[i0]):
+        # z_i - 2 z_i overflowed, though its value -z_i is finite.  Only here:
+        # elsewhere numpy's complex product can give signed zeros 0.0 - z_i lacks.
+        out[i0] = 0.0 - z[i0]
     if not np.isfinite(out).all():
         raise ValueError(f"charge is out of float range: its reflection at vertex {i} evaluates to {out.tolist()}")
     return out

@@ -3,8 +3,10 @@
 A root system here is the K-theoretic shadow of an ADE graph: its Cartan
 matrix, the exact rational inverse, the Coxeter number, and the positive
 roots written as integer coefficient vectors in the basis of simples.
-A float inverse certified by one integer product gives C^-1, the positive
-roots are raised height by height, and one R^T R product checks the identity.
+All of it is integer work in plain Python: C^-1 is an integer adjugate
+over the Dynkin tree, certified by one integer product, and the positive
+roots are raised height by height.  numpy is imported only by the array
+views of a RootSystem and by the identity check's R^T R product.
 Vertices carry the labels 1..n used throughout: type A is the chain
 1-2-...-n, type D is the chain 1-...-(n-1) with vertex n attached to
 vertex n-2, and types E6/E7/E8 use the Bourbaki numbering (chain
@@ -13,12 +15,15 @@ vertex n-2, and types E6/E7/E8 use the Bourbaki numbering (chain
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 RootClass = tuple[int, ...]
 
@@ -115,16 +120,62 @@ def _positive_roots(cartan) -> tuple[RootClass, ...]:
 
     In a simply-laced system, alpha + e_i is a root for a positive root
     alpha != e_i iff <alpha, e_i> = -1, and every root of height > 1 is
-    reached this way from one of height one less."""
-    c = np.array(cartan, dtype=np.int64)
-    eye = np.eye(len(c), dtype=np.int64)
-    level, roots = sorted(map(tuple, eye.tolist())), []
+    reached this way from one of height one less.  Each root carries its
+    pairings with the simples, C alpha, so alpha + e_i pairs as C alpha
+    plus column i of C, which has at most four nonzeros."""
+    n = len(cartan)
+    column = [[(j, cartan[j][i]) for j in range(n) if cartan[j][i]] for i in range(n)]
+    level = {tuple(int(i == j) for j in range(n)): [cartan[j][i] for j in range(n)] for i in range(n)}
+    roots = []
     while level:
-        roots += level
-        arr = np.array(level, dtype=np.int64)
-        rows, cols = np.nonzero(arr @ c == -1)
-        level = sorted(set(map(tuple, (arr[rows] + eye[cols]).tolist())))
+        raised = {}
+        for alpha in sorted(level):
+            roots.append(alpha)
+            pairing = level[alpha]
+            for i, p in enumerate(pairing):
+                if p == -1:
+                    beta = (*alpha[:i], alpha[i] + 1, *alpha[i + 1:])
+                    if beta not in raised:
+                        raised[beta] = up = pairing.copy()
+                        for j, c in column[i]:
+                            up[j] += c
+        level = raised
     return tuple(roots)
+
+
+def _tree_adjugate(cartan) -> tuple[int, list[list[int]]]:
+    """(det C, adj C) in integers for a Cartan matrix whose graph is a tree,
+    2 on the diagonal and -1 on the edges.
+
+    Hang the tree from j; let D(v) be the determinant of the subtree at v
+    and E(v) the product of D over v's children, so that D(v) = 2 E(v)
+    minus, for each child c, E(c) E(v) / D(c).  Deleting the path from j
+    to i leaves the subtrees hanging off it, so adj_ij is their product of
+    determinants: adj_jj = E(j), and each step down to a child c divides
+    out D(c) and multiplies in E(c).  A subtree depends only on the edge
+    it hangs from, so each is measured once.  Every subtree of an ADE
+    graph is a union of ADE graphs, so no D(v) is 0."""
+    n = len(cartan)
+    nbrs = [[k for k in range(n) if k != v and cartan[v][k]] for v in range(n)]
+
+    @lru_cache(maxsize=None)
+    def hanging(v, p):
+        """(D(v), E(v)) for the subtree at v, hung from its neighbour p."""
+        parts = [hanging(c, v) for c in nbrs[v] if c != p]
+        e = math.prod(d for d, _ in parts)
+        return 2 * e - sum(e_c * (e // d_c) for d_c, e_c in parts), e
+
+    adj = [[0] * n for _ in range(n)]
+    for j, row in enumerate(adj):  # adj C is symmetric: row j is column j
+        row[j] = hanging(j, -1)[1]
+        walk = [(j, -1)]
+        for v, p in walk:  # outward from j, each vertex after its parent
+            for c in nbrs[v]:
+                if c != p:
+                    d, e = hanging(c, v)
+                    row[c] = row[v] // d * e
+                    walk.append((c, v))
+    return hanging(0, -1)[0], adj
 
 
 @dataclass(frozen=True)
@@ -149,17 +200,23 @@ class RootSystem:
     @cached_property
     def cartan_array(self) -> np.ndarray:
         """Cartan matrix as an integer numpy array."""
+        import numpy as np
+
         return np.array(self.cartan, dtype=np.int64)
 
     @cached_property
     def inverse_array(self) -> np.ndarray:
         """Inverse Cartan matrix rounded into floats, for numeric work."""
+        import numpy as np
+
         return np.array([[float(x) for x in row] for row in self.cartan_inv])
 
     @cached_property
     def complex_root_matrix(self) -> np.ndarray:
         """Positive roots stacked as rows of a complex128 array, so a product
         with a complex charge does not cast the whole matrix on every call."""
+        import numpy as np
+
         return np.array(self.positive_roots, dtype=np.complex128)
 
 
@@ -167,23 +224,24 @@ class RootSystem:
 def build_root_system(ade: AdeType) -> RootSystem:
     """Assemble the full root-system record for one ADE type.
 
-    The inverse is a float inverse proved exact in integers: with d =
-    round(det C) and A = rint(d inv(C)), C A = d I and d != 0 prove C^-1 =
-    A / d (Rump, Acta Numerica 19, 2010); if not, ArithmeticError.  Results
-    are cached; RootSystem is immutable, so sharing is safe.
+    The inverse is an integer adjugate proved exact: C A = d I with d != 0
+    proves C^-1 = A / d, checked over the nonzeros of C; if not,
+    ArithmeticError.  Results are cached; RootSystem is immutable, so
+    sharing is safe.
     """
     cartan = cartan_matrix(ade)
-    c = np.array(cartan, dtype=np.int64)
-    det = int(np.rint(np.linalg.det(c)))
-    adj = np.rint(det * np.linalg.inv(c)).astype(np.int64)
-    if det == 0 or not np.array_equal(c @ adj, det * np.eye(ade.rank, dtype=np.int64)):
-        raise ArithmeticError(f"the rounded float inverse of the {ade} Cartan matrix is not exact")
-    rows = adj.tolist()
-    exact = {x: Fraction(x, det) for x in set().union(*rows)}  # one Fraction per distinct entry
+    det, adj = _tree_adjugate(cartan)
+    # Row i of C A sums the rows of A that row i of C names: at most four.
+    product = [
+        [sum(col) for col in zip(*[[c * x for x in adj[k]] for k, c in enumerate(row) if c])] for row in cartan
+    ]
+    if det == 0 or product != [[det * (i == j) for j in range(ade.rank)] for i in range(ade.rank)]:
+        raise ArithmeticError(f"the integer adjugate of the {ade} Cartan matrix is not exact")
+    exact = {x: Fraction(x, det) for x in set().union(*adj)}  # one Fraction per distinct entry
     return RootSystem(
         ade=ade,
         cartan=cartan,
-        cartan_inv=tuple(tuple(map(exact.__getitem__, row)) for row in rows),
+        cartan_inv=tuple(tuple(map(exact.__getitem__, row)) for row in adj),
         coxeter=coxeter_number(ade),
         positive_roots=_positive_roots(cartan),
     )
@@ -219,6 +277,8 @@ def verify_volume_identity(rs: RootSystem) -> IdentityReport:
     positive roots M divided by the Coxeter number, a/b = g/h as a h = g b in
     integers.  The sums are R^T R, R the positive roots as float rows, exact:
     no root coefficient passes 6, so no partial sum passes |Phi+| 6^2 < 2^53."""
+    import numpy as np
+
     n, h = rs.rank, rs.coxeter
     r = np.array(rs.positive_roots, dtype=np.float64)
     gram = (r.T @ r).astype(np.int64).tolist()

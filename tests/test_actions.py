@@ -5,7 +5,7 @@ import json
 import math
 import re
 import tracemalloc
-from itertools import cycle
+from itertools import cycle, product
 
 import numpy as np
 import pytest
@@ -171,10 +171,28 @@ def test_reflect_charge_examples():
 
 
 def test_reflect_charge_out_of_float_range_is_bad_input():
-    # 2 * 1e308 overflows: a ValueError, where numpy would return -inf and warn.
+    # 1e308 + 1e308 overflows: a ValueError, where numpy would return inf and warn.
     with pytest.raises(ValueError, match=re.escape("charge is out of float range: its reflection at vertex 1")):
-        reflect_charge(A2, 1, [1e308, -1e308])
+        reflect_charge(A2, 1, [1e308, 1e308])
     assert reflect_charge(A2, 1, [1e307, 1e308]) == pytest.approx(np.array([-1e307, 1.1e308]))
+
+
+def test_reflect_charge_negates_an_entry_whose_double_overflows():
+    # 2 * -1e308 overflows, but the reflection itself is representable.
+    assert np.array_equal(reflect_charge(A2, 2, [1e308, -1e308]), [0, 1e308])
+    assert np.array_equal(reflect_charge(A2, 1, [1e308, -1e308]), [-1e308, 0])
+    assert np.array_equal(reflect_charge(A1, 1, [-1e308 + 1.5e308j]), [1e308 - 1.5e308j])
+
+
+def test_reflect_charge_keeps_the_bits_of_z_minus_c_z_i():
+    # Where nothing overflows, the result is z - C[i] z_i bit for bit,
+    # the signed zeros of numpy's complex product included.
+    parts = [0.0, -0.0, 1.5, -2.0, 1e-310, -1e-310]
+    for re_i, im_i, i in product(parts, parts, (1, 2)):
+        z = np.array([complex(-0.0, 3.0), complex(2.0, -0.0)])
+        z[i - 1] = complex(re_i, im_i)
+        expected = z - A2.cartan_array[i - 1] * z[i - 1]
+        assert reflect_charge(A2, i, z).tobytes() == expected.tobytes(), (re_i, im_i, i)
 
 
 def test_reflect_charge_involution():

@@ -81,6 +81,21 @@ def test_import_loads_no_submodule_and_no_numpy():
     assert _fresh_modules("import adesystole") == {"adesystole"}
 
 
+def test_building_root_systems_loads_no_numpy():
+    build = (
+        "import adesystole\n"
+        "for family, rank in [('A', 1), ('A', 32), ('D', 4), ('D', 32), ('E', 6), ('E', 7), ('E', 8)]:\n"
+        "    ade = adesystole.AdeType(family, rank)\n"
+        "    rs = adesystole.build_root_system(ade)\n"
+        "    assert rs.cartan == adesystole.cartan_matrix(ade)\n"
+        "    assert len(rs.positive_roots) == adesystole.count_positive_roots(ade)\n"
+        "    assert rs.coxeter == adesystole.coxeter_number(ade)\n"
+    )
+    assert _fresh_modules(build) == {"adesystole", "adesystole.roots"}
+    # The array views are numpy's, loaded on first read.
+    assert _fresh_modules(build + "rs.complex_root_matrix\n") == {"adesystole", "adesystole.roots", "numpy"}
+
+
 BASE = {"adesystole", "adesystole.cli", "adesystole.roots", "adesystole.stability", "numpy"}
 
 # One command of each family, and the modules it loads beyond BASE.

@@ -4,7 +4,9 @@ Independent oracles used here:
   - the closed-form inverse entries for types A and D,
   - an explicit construction of the D_n positive roots by shape,
   - brute-force enumeration of norm-2 box vectors for E8,
-  - Bareiss elimination, the exact inverse that the certified one must equal.
+  - Bareiss elimination, the exact inverse that the certified one must equal,
+  - the positive roots raised by int64 numpy products, which the pure-Python
+    enumeration must equal in order.
 """
 
 import dataclasses
@@ -14,8 +16,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from adesystole import roots
 from adesystole.roots import (
     AdeType,
+    _positive_roots,
     build_root_system,
     cartan_matrix,
     count_positive_roots,
@@ -63,6 +67,22 @@ def _bareiss(rows) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row_k)]
         prev = p
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
+
+
+def _reference_positive_roots(cartan) -> tuple[tuple[int, ...], ...]:
+    """Positive roots in (height, tuple) order, raised by int64 products.
+
+    Each level's roots alpha pair with the simples as the rows of alpha @ C;
+    alpha + e_i is raised wherever that pairing is -1."""
+    c = np.array(cartan, dtype=np.int64)
+    eye = np.eye(len(c), dtype=np.int64)
+    level, found = sorted(map(tuple, eye.tolist())), []
+    while level:
+        found += level
+        arr = np.array(level, dtype=np.int64)
+        rows, cols = np.nonzero(arr @ c == -1)
+        level = sorted(set(map(tuple, (arr[rows] + eye[cols]).tolist())))
+    return tuple(found)
 
 
 # == AdeType validation ======================================================
@@ -215,14 +235,15 @@ def cold_builds():
 @pytest.mark.parametrize("ade", [AdeType("A", 1), AdeType("A", 32), AdeType("D", 32), AdeType("E", 8)], ids=str)
 @pytest.mark.parametrize("entry,unit", [((0, 0), 1), ((-1, 0), -1)], ids=["first+1", "last-1"])
 def test_an_inverse_wrong_by_one_unit_is_never_returned(monkeypatch, cold_builds, ade, entry, unit):
-    inv, det = np.linalg.inv, np.linalg.det
+    adjugate = roots._tree_adjugate
 
-    def wrong(matrix):
-        out = inv(matrix)
-        out[entry] += unit / det(matrix)  # d * inv(C) rounds one unit off here
-        return out
+    def wrong(cartan):
+        det, adj = adjugate(cartan)
+        row, col = entry
+        adj[row][col] += unit  # one adjugate entry a unit off
+        return det, adj
 
-    monkeypatch.setattr(np.linalg, "inv", wrong)
+    monkeypatch.setattr(roots, "_tree_adjugate", wrong)
     with pytest.raises(ArithmeticError, match=f"{ade} Cartan matrix"):
         build_root_system(ade)
 
@@ -232,8 +253,13 @@ def test_the_certificate_holds_for_any_nonzero_determinant(monkeypatch, cold_bui
     # C A = d I with d != 0 proves C^-1 = A / d even when d is not det C.
     ade = AdeType("D", 7)
     det, adj = _bareiss(cartan_matrix(ade))
-    real = np.linalg.det
-    monkeypatch.setattr(np.linalg, "det", lambda matrix: scale * real(matrix))
+    adjugate = roots._tree_adjugate
+
+    def scaled(cartan):
+        d, a = adjugate(cartan)
+        return scale * d, [[scale * x for x in row] for row in a]
+
+    monkeypatch.setattr(roots, "_tree_adjugate", scaled)
     if not exact:
         with pytest.raises(ArithmeticError, match="not exact"):
             build_root_system(ade)
@@ -242,6 +268,14 @@ def test_the_certificate_holds_for_any_nonzero_determinant(monkeypatch, cold_bui
 
 
 # == Positive-root enumeration ===============================================
+
+@pytest.mark.parametrize("ade", ALL_TYPES, ids=str)
+def test_positive_roots_equal_the_int64_enumeration(ade):
+    cartan = cartan_matrix(ade)
+    found, expected = _positive_roots(cartan), _reference_positive_roots(cartan)
+    assert found == expected  # element for element, in order
+    assert all(type(c) is int for alpha in found for c in alpha)
+
 
 def test_a3_positive_roots():
     rs = build_root_system(AdeType("A", 3))
