@@ -5,8 +5,9 @@ is 0 on success, 1 on bad input, and 2 when a mathematical property that
 should always hold fails numerically (which would mean an implementation
 bug, so CI can tell it apart from user error).  A reader that closes the
 pipe early (`| head`) ends the run quietly with status 0.  Every command
-needs `roots` and `stability`; the modules only some commands use are
-imported by their handlers, so a run loads no more than it needs.
+needs `roots`; the modules only some commands use, numpy among them, are
+imported by their handlers, so a run loads no more than it needs: `roots`
+prints a root system without numpy.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
-import numpy as np
-
-from adesystole import roots, stability
+from adesystole import roots
 
 if TYPE_CHECKING:
     from adesystole import milnor, search
@@ -123,6 +122,8 @@ def render_csv(result: search.SearchResult) -> Iterator[str]:
     with the ratios of its own rows (`result.ratios_of`); each row starts
     with its newline.  The rows are made by `_csvdigits._csv_block`, a
     numpy digit kernel whose output is byte-identical to the template's."""
+    import numpy as np
+
     from adesystole import _csvdigits
 
     columns = (result.sys_upper, result.sys_lower, result.volumes)
@@ -208,6 +209,8 @@ def _identity(args, rs: roots.RootSystem) -> Report:
 
 
 def _volume(args, rs: roots.RootSystem) -> Report:
+    from adesystole import stability
+
     z = _charge(args, rs)
     via_basis = stability.volume_basis(rs, z)
     via_roots = stability.volume_roots(rs, z)
@@ -223,12 +226,16 @@ def _volume(args, rs: roots.RootSystem) -> Report:
 
 
 def _systole(args, rs: roots.RootSystem) -> Report:
+    from adesystole import stability
+
     z = _charge(args, rs)
     fields = {"sys_lower": stability.systole_lower(rs, z), "sys_upper": stability.systole_upper(rs, z)}
     return Report(fields, True, {"charge": format_charge(z)})
 
 
 def _inequality(args, rs: roots.RootSystem) -> Report:
+    from adesystole import stability
+
     z = _charge(args, rs)
     report = stability.check_inequality(rs, z)
     return Report(report.as_dict(), report.satisfied(), {"charge": format_charge(z)})
@@ -320,11 +327,14 @@ class Command:
     root system; `options` are (flag, add_argument kwargs) pairs; `outputs`
     maps each mode beyond human/json, and any mode whose `RENDERERS` entry
     it replaces, to a renderer of the payload and `Report.source`.  Its
-    `--output` takes exactly the modes of `RENDERERS` and `outputs`."""
+    `--output` takes exactly the modes of `RENDERERS` and `outputs`.
+    `numpy` is False for a command whose handler and renderers are plain
+    Python, so that its run never imports numpy."""
 
     handler: Callable[[argparse.Namespace, roots.RootSystem | None], Report]
     help: str
     ade: bool = True
+    numpy: bool = True
     options: tuple = ()
     outputs: dict = field(default_factory=dict)
 
@@ -345,7 +355,7 @@ _POINTS = (
 )
 
 COMMANDS = {
-    "roots": Command(_roots, "root-system data"),
+    "roots": Command(_roots, "root-system data", numpy=False),
     "identity": Command(_identity, "exact coefficient identity check"),
     "volume": Command(_volume, "volume of a charge along both routes", options=_CHARGE),
     "systole": Command(_systole, "systole bracket of a charge", options=_CHARGE),
@@ -439,31 +449,38 @@ def run(argv=None) -> int:
         # Explicit flags come after the file's, so they win.
         args = parser.parse_args(argv[:1] + _config_tokens(args, read_config(args.config)) + argv[1:])
     command = COMMANDS[args.command]
-    inputs, rs = {}, None
-    if command.ade:
-        _require(args, "family", "rank")
-        ade = roots.AdeType(args.family, args.rank)
-        inputs = {"family": ade.family, "rank": ade.rank}
-        rs = roots.build_root_system(ade)
-    report = command.handler(args, rs)
-    inputs.update(report.inputs)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "inputs": {k: v for k, v in inputs.items() if v is not None},
-        **report.fields,
-    }
-    render = {**RENDERERS, **command.outputs}[args.output]
-    emit(render(payload, report.source), args.out_file)
+    with _quiet_overflow() if command.numpy else nullcontext():
+        inputs, rs = {}, None
+        if command.ade:
+            _require(args, "family", "rank")
+            ade = roots.AdeType(args.family, args.rank)
+            inputs = {"family": ade.family, "rank": ade.rank}
+            rs = roots.build_root_system(ade)
+        report = command.handler(args, rs)
+        inputs.update(report.inputs)
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "inputs": {k: v for k, v in inputs.items() if v is not None},
+            **report.fields,
+        }
+        render = {**RENDERERS, **command.outputs}[args.output]
+        emit(render(payload, report.source), args.out_file)
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
+def _quiet_overflow():
+    """numpy's error state for a command's run: an out-of-range charge
+    overflows inside numpy before the kernels' range checks reject it, and
+    the ValueError is the one message to show."""
+    import numpy as np
+
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def main(argv=None) -> int:
-    # An out-of-range charge overflows inside numpy before the kernels'
-    # range checks reject it; the ValueError is the one message to show.
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return run(argv)
+        return run(argv)
     except BrokenPipeError:
         # The reader has all it wanted; stdout goes to devnull so that the
         # interpreter's flush at exit does not fail on the pipe again.

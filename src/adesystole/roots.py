@@ -226,8 +226,11 @@ def build_root_system(ade: AdeType) -> RootSystem:
 
     The inverse is an integer adjugate proved exact: C A = d I with d != 0
     proves C^-1 = A / d, checked over the nonzeros of C; if not,
-    ArithmeticError.  Results are cached; RootSystem is immutable, so
-    sharing is safe.
+    ArithmeticError.  `_tree_adjugate` is exact only when the graph of
+    `_edges` is a tree with no singular subtree; the tests compare it with
+    an elimination on all 64 types, and this check keeps a wrong inverse
+    from being returned where they do not run, as in an installed copy.
+    Results are cached; RootSystem is immutable, so sharing is safe.
     """
     cartan = cartan_matrix(ade)
     det, adj = _tree_adjugate(cartan)

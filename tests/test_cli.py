@@ -698,7 +698,7 @@ def test_property_violation_exits_two(capsys, monkeypatch):
     # Force the two volume routes apart to exercise the exit-2 path.
     from adesystole import stability
 
-    monkeypatch.setattr(cli.stability, "volume_roots", lambda rs, z: stability.volume_basis(rs, z) + 1.0)
+    monkeypatch.setattr(stability, "volume_roots", lambda rs, z: stability.volume_basis(rs, z) + 1.0)
     code, out, err = run_cli(
         capsys, "volume", "--family", "A", "--rank", "2", "--charge", "0+1i,0+1i"
     )

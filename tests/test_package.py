@@ -96,20 +96,26 @@ def test_building_root_systems_loads_no_numpy():
     assert _fresh_modules(build + "rs.complex_root_matrix\n") == {"adesystole", "adesystole.roots", "numpy"}
 
 
-BASE = {"adesystole", "adesystole.cli", "adesystole.roots", "adesystole.stability", "numpy"}
+BASE = {"adesystole", "adesystole.cli", "adesystole.roots"}
+NUMERIC = {"adesystole.stability", "numpy"}
 
-# One command of each family, and the modules it loads beyond BASE.
+# One command of each family, and the modules it loads beyond BASE: only
+# `roots` runs without numpy.
 COMMAND_MODULES = [
     (["roots", "--family", "A", "--rank", "3"], set()),
-    (["inequality", "--family", "A", "--rank", "2", "--charge", "1i,1i"], set()),
-    (["tilt-graph", "--family", "D", "--rank", "4", "--depth", "3", "--output", "json"], {"adesystole.actions"}),
+    (["identity", "--family", "D", "--rank", "4"], {"numpy"}),
+    (["inequality", "--family", "A", "--rank", "2", "--charge", "1i,1i"], NUMERIC),
+    (
+        ["tilt-graph", "--family", "D", "--rank", "4", "--depth", "3", "--output", "json"],
+        NUMERIC | {"adesystole.actions"},
+    ),
     (
         ["sample", "--family", "A", "--rank", "2", "--count", "10", "--output", "csv"],
-        {"adesystole.search", "adesystole._csvdigits"},
+        NUMERIC | {"adesystole.search", "adesystole._csvdigits"},
     ),
-    (["optimize", "--family", "A", "--rank", "2", "--restarts", "2"], {"adesystole.search"}),
-    (["milnor", "--points", "1+0i,-1+0i", "--correspond"], {"adesystole.milnor"}),
-    (["correspond", "--poly", "0+0i,-1+0i"], {"adesystole.milnor"}),
+    (["optimize", "--family", "A", "--rank", "2", "--restarts", "2"], NUMERIC | {"adesystole.search"}),
+    (["milnor", "--points", "1+0i,-1+0i", "--correspond"], NUMERIC | {"adesystole.milnor"}),
+    (["correspond", "--poly", "0+0i,-1+0i"], NUMERIC | {"adesystole.milnor"}),
 ]
 
 
