@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -327,14 +328,11 @@ class Command:
     root system; `options` are (flag, add_argument kwargs) pairs; `outputs`
     maps each mode beyond human/json, and any mode whose `RENDERERS` entry
     it replaces, to a renderer of the payload and `Report.source`.  Its
-    `--output` takes exactly the modes of `RENDERERS` and `outputs`.
-    `numpy` is False for a command whose handler and renderers are plain
-    Python, so that its run never imports numpy."""
+    `--output` takes exactly the modes of `RENDERERS` and `outputs`."""
 
     handler: Callable[[argparse.Namespace, roots.RootSystem | None], Report]
     help: str
     ade: bool = True
-    numpy: bool = True
     options: tuple = ()
     outputs: dict = field(default_factory=dict)
 
@@ -355,7 +353,7 @@ _POINTS = (
 )
 
 COMMANDS = {
-    "roots": Command(_roots, "root-system data", numpy=False),
+    "roots": Command(_roots, "root-system data"),
     "identity": Command(_identity, "exact coefficient identity check"),
     "volume": Command(_volume, "volume of a charge along both routes", options=_CHARGE),
     "systole": Command(_systole, "systole bracket of a charge", options=_CHARGE),
@@ -449,7 +447,10 @@ def run(argv=None) -> int:
         # Explicit flags come after the file's, so they win.
         args = parser.parse_args(argv[:1] + _config_tokens(args, read_config(args.config)) + argv[1:])
     command = COMMANDS[args.command]
-    with _quiet_overflow() if command.numpy else nullcontext():
+    with warnings.catch_warnings():
+        # An out-of-range charge overflows inside numpy before the kernels'
+        # range checks reject it, and the ValueError is the one message to show.
+        warnings.filterwarnings("ignore", "(overflow|invalid value) encountered", RuntimeWarning)
         inputs, rs = {}, None
         if command.ade:
             _require(args, "family", "rank")
@@ -467,15 +468,6 @@ def run(argv=None) -> int:
         render = {**RENDERERS, **command.outputs}[args.output]
         emit(render(payload, report.source), args.out_file)
     return EXIT_OK if report.ok else EXIT_VIOLATION
-
-
-def _quiet_overflow():
-    """numpy's error state for a command's run: an out-of-range charge
-    overflows inside numpy before the kernels' range checks reject it, and
-    the ValueError is the one message to show."""
-    import numpy as np
-
-    return np.errstate(over="ignore", invalid="ignore")
 
 
 def main(argv=None) -> int:

@@ -17,6 +17,7 @@ itself in the overflow warnings that an out-of-range charge raises.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,8 +75,15 @@ def evaluate_charge(rs: RootSystem, Z, alpha: RootClass) -> complex:
     """Value of the charge on a class vector: sum of c_i(alpha) * Z_i."""
     z = as_charge(Z, rs.rank)
     alpha = _check_class(alpha, rs.rank)
+    coefficients = np.asarray(alpha, dtype=np.float64)
     with np.errstate(all="ignore"):
-        value = complex(np.dot(np.asarray(alpha, dtype=np.float64), z))
+        value = complex(np.dot(coefficients, z))
+        if not cmath.isfinite(value):
+            # A product or partial sum can overflow where the value does not:
+            # sum again on z / 2^k, an exact scaling, and scale back.
+            k = math.frexp(max(np.abs(z.real).max(), np.abs(z.imag).max()))[1]
+            small = np.dot(coefficients, z * 2.0**-k)
+            value = complex(*np.ldexp([small.real, small.imag], k))
     if not cmath.isfinite(value):
         raise ValueError(f"charge is out of float range: its value on {alpha} evaluates to {value!r}")
     return value

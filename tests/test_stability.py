@@ -81,6 +81,9 @@ def test_evaluate_charge_out_of_float_range_is_bad_input():
     with pytest.raises(ValueError, match=re.escape("charge is out of float range: its value on (1, 1) evaluates to (inf+0j)")):
         evaluate_charge(A2, [1e308, 1e308], (1, 1))
     assert evaluate_charge(A2, [1e308, -1e308], (1, 1)) == 0
+    # A product overflows, but the value does not: 2 * 1e308 - 1e308, and 3 * -1e308j + 2 * 1.5e308j.
+    assert evaluate_charge(A2, [1e308, -1e308], (2, 1)) == 1e308
+    assert evaluate_charge(A2, [-1e308j, 1.5e308j], (3, 2)) == 0
 
 
 def test_evaluate_charge_dimension_mismatch():
