@@ -7,7 +7,7 @@ bug, so CI can tell it apart from user error).  A reader that closes the
 pipe early (`| head`) ends the run quietly with status 0.  Every command
 needs `roots`; the modules only some commands use, numpy among them, are
 imported by their handlers, so a run loads no more than it needs: `roots`
-prints a root system without numpy.
+prints a root system without numpy, `dataclasses` or `inspect`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import os
 import sys
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
@@ -152,7 +151,7 @@ def emit(report: str | Iterable[str], out_file: str | None) -> None:
 def read_config(path: str) -> dict:
     """Flat 'key = value' file mirroring the long flags; '#' starts a comment."""
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -322,8 +321,7 @@ RENDERERS = {
 }
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One subcommand.  `ade` adds --family/--rank and hands the handler the
     root system; `options` are (flag, add_argument kwargs) pairs; `outputs`
     maps each mode beyond human/json, and any mode whose `RENDERERS` entry
@@ -334,7 +332,7 @@ class Command:
     help: str
     ade: bool = True
     options: tuple = ()
-    outputs: dict = field(default_factory=dict)
+    outputs: dict = {}
 
 
 _CHARGE = (("--charge", {"help": "comma-separated a+bi entries"}),)
@@ -454,9 +452,8 @@ def run(argv=None) -> int:
         inputs, rs = {}, None
         if command.ade:
             _require(args, "family", "rank")
-            ade = roots.AdeType(args.family, args.rank)
-            inputs = {"family": ade.family, "rank": ade.rank}
-            rs = roots.build_root_system(ade)
+            rs = roots.build_root_system(roots.AdeType(args.family, args.rank))
+            inputs = rs.ade._asdict()
         report = command.handler(args, rs)
         inputs.update(report.inputs)
         payload = {

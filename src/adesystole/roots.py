@@ -6,7 +6,9 @@ roots written as integer coefficient vectors in the basis of simples.
 All of it is integer work in plain Python: C^-1 is an integer adjugate
 over the Dynkin tree, certified by one integer product, and the positive
 roots are raised height by height.  numpy is imported only by the array
-views of a RootSystem and by the identity check's R^T R product.
+views of a RootSystem and by the identity check's R^T R product.  The
+records are named tuples, so a build loads neither `dataclasses` nor `inspect`:
+they iterate, equal a plain tuple of their fields, and copy by `_replace()`.
 Vertices carry the labels 1..n used throughout: type A is the chain
 1-2-...-n, type D is the chain 1-...-(n-1) with vertex n attached to
 vertex n-2, and types E6/E7/E8 use the Bourbaki numbering (chain
@@ -17,10 +19,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -60,25 +61,25 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
-@dataclass(frozen=True)
-class AdeType:
+class AdeType(NamedTuple("_AdeFields", [("family", str), ("rank", int)])):
     """A simply-laced family letter plus a rank, e.g. AdeType('D', 5)."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        _check_int("rank", self.rank)
-        n = int(self.rank)
-        object.__setattr__(self, "rank", n)  # a numpy rank is stored, hashed and dumped as an int
-        if self.family == "A" and not 1 <= n <= MAX_RANK_AD:
+    def __new__(cls, family: str, rank: int):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+        _check_int("rank", rank)
+        n = int(rank)  # a numpy rank is stored, hashed and dumped as an int
+        if family == "A" and not 1 <= n <= MAX_RANK_AD:
             raise ValueError(f"type A requires 1 <= rank <= {MAX_RANK_AD}, got {n}")
-        if self.family == "D" and not 4 <= n <= MAX_RANK_AD:
+        if family == "D" and not 4 <= n <= MAX_RANK_AD:
             raise ValueError(f"type D requires 4 <= rank <= {MAX_RANK_AD}, got {n}")
-        if self.family == "E" and n not in (6, 7, 8):
+        if family == "E" and n not in (6, 7, 8):
             raise ValueError(f"type E requires rank in (6, 7, 8), got {n}")
+        return super().__new__(cls, family, n)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -178,15 +179,23 @@ def _tree_adjugate(cartan) -> tuple[int, list[list[int]]]:
     return hanging(0, -1)[0], adj
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    """Cartan data plus the enumerated positive roots of one ADE type."""
-
+class _RootFields(NamedTuple):
     ade: AdeType
     cartan: tuple[tuple[int, ...], ...]
     cartan_inv: tuple[tuple[Fraction, ...], ...]
     coxeter: int
     positive_roots: tuple[RootClass, ...]
+
+
+class RootSystem(_RootFields):
+    """Cartan data plus the enumerated positive roots of one ADE type.  Its
+    `cached_property` views write the instance dict; any other assignment raises."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def rank(self) -> int:
@@ -220,7 +229,7 @@ class RootSystem:
         return np.array(self.positive_roots, dtype=np.complex128)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # a plain tuple equal to an AdeType is not one
 def build_root_system(ade: AdeType) -> RootSystem:
     """Assemble the full root-system record for one ADE type.
 
@@ -241,13 +250,8 @@ def build_root_system(ade: AdeType) -> RootSystem:
     if det == 0 or product != [[det * (i == j) for j in range(ade.rank)] for i in range(ade.rank)]:
         raise ArithmeticError(f"the integer adjugate of the {ade} Cartan matrix is not exact")
     exact = {x: Fraction(x, det) for x in set().union(*adj)}  # one Fraction per distinct entry
-    return RootSystem(
-        ade=ade,
-        cartan=cartan,
-        cartan_inv=tuple(tuple(map(exact.__getitem__, row)) for row in adj),
-        coxeter=coxeter_number(ade),
-        positive_roots=_positive_roots(cartan),
-    )
+    inverse = tuple(tuple(map(exact.__getitem__, row)) for row in adj)
+    return RootSystem(ade, cartan, inverse, coxeter_number(ade), _positive_roots(cartan))
 
 
 def count_positive_roots(ade: AdeType) -> int:
@@ -260,8 +264,7 @@ def count_positive_roots(ade: AdeType) -> int:
     return _E_ROOT_COUNT[n]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of the exact coefficient identity check.
 
     For each index pair i <= j the inverse-Cartan entry is compared with

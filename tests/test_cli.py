@@ -821,6 +821,17 @@ def test_config_file_supplies_defaults(capsys, tmp_path):
     assert payload["volume"] == pytest.approx(2.0)
 
 
+def test_config_file_with_a_byte_order_mark_reads_its_first_key(capsys, tmp_path):
+    # Editors on Windows may start a UTF-8 file with U+FEFF; its first key is still `seed`.
+    text = "seed = 7\nfamily = A\nrank = 2\nrestarts = 2\n"
+    outputs = []
+    for name, data in (("plain.cfg", text.encode()), ("bom.cfg", b"\xef\xbb\xbf" + text.encode())):
+        (tmp_path / name).write_bytes(data)
+        outputs.append(run_cli(capsys, "optimize", "--config", str(tmp_path / name), "--output", "json"))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[1][1])["inputs"]["seed"] == 7
+
+
 def test_flags_override_config(capsys, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("family = A\nrank = 1\ncharge = 0+1i\nseed = 9\ncount = 10\n")

@@ -9,8 +9,8 @@ Independent oracles used here:
     enumeration must equal in order.
 """
 
-import dataclasses
 import json
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -115,9 +115,40 @@ def test_numpy_integer_rank_is_stored_as_an_int(integer):
     assert ade == AdeType("A", 3) and hash(ade) == hash(AdeType("A", 3))
     assert str(ade) == "A3"
     assert build_root_system(ade) is build_root_system(AdeType("A", 3))
-    assert json.loads(json.dumps(dataclasses.asdict(ade))) == {"family": "A", "rank": 3}
+    assert json.loads(json.dumps(ade._asdict())) == {"family": "A", "rank": 3}
     with pytest.raises(ValueError, match="type D requires 4 <= rank <= 32, got 3"):
         AdeType("D", integer(3))
+
+
+def test_records_are_immutable():
+    ade = AdeType("D", 5)
+    rs = build_root_system(ade)
+    for record, name in ((ade, "rank"), (ade, "extra"), (rs, "coxeter"), (rs, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    rs.cartan_array  # a cached view is not an assignment
+    assert (rs.coxeter, rs.rank, ade.rank) == (8, 5, 5) and not hasattr(rs, "extra")
+
+
+def test_replacing_a_field_checks_it_like_a_new_type():
+    assert AdeType("A", 3)._replace(family="D", rank=4) == AdeType("D", 4)
+    with pytest.raises(ValueError, match="type D requires 4 <= rank <= 32, got 3"):
+        AdeType("A", 3)._replace(family="D")
+
+
+@pytest.mark.parametrize("ade", [AdeType("A", 1), AdeType("D", 7), AdeType("E", 8)], ids=str)
+def test_records_pickle_and_equal_records_hash_equal(ade):
+    rs = build_root_system(ade)
+    rs.complex_root_matrix  # a cached view goes along
+    for record in (ade, rs, verify_volume_identity(rs)):
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record) and copy == record and hash(copy) == hash(record)
+    assert build_root_system(pickle.loads(pickle.dumps(ade))) is rs
+    assert hash(AdeType(ade.family, np.int64(ade.rank))) == hash(ade)
+    with pytest.raises(AttributeError):  # an equal plain tuple is not served from the cache
+        build_root_system((ade.family, ade.rank))
 
 
 @pytest.mark.parametrize("rank", [True, False, 3.0, 2.5, "3", None, Fraction(3), np.float64(3)])
@@ -417,7 +448,7 @@ def test_identity_holds_at_larger_rank(ade):
 
 def test_identity_fails_with_wrong_coxeter():
     rs = build_root_system(AdeType("A", 5))
-    broken = dataclasses.replace(rs, coxeter=rs.coxeter + 1)
+    broken = rs._replace(coxeter=rs.coxeter + 1)
     report = verify_volume_identity(broken)
     assert not report.passed
     assert len(report.failures) > 0
@@ -446,7 +477,7 @@ def _off_by_one(rs, i, j, unit):
     """`rs` with the inverse entry (i, j), 0-based, moved by unit / h."""
     inv = [list(row) for row in rs.cartan_inv]
     inv[i][j] += Fraction(unit, rs.coxeter)
-    return dataclasses.replace(rs, cartan_inv=tuple(map(tuple, inv)))
+    return rs._replace(cartan_inv=tuple(map(tuple, inv)))
 
 
 @pytest.mark.parametrize(
@@ -455,7 +486,7 @@ def _off_by_one(rs, i, j, unit):
 def test_identity_witnesses_match_the_fraction_check(ade):
     rs = build_root_system(ade)
     n, h = rs.rank, rs.coxeter
-    doctored = [dataclasses.replace(rs, coxeter=c) for c in (h + 1, h - 1, 2 * h, -h)]
+    doctored = [rs._replace(coxeter=c) for c in (h + 1, h - 1, 2 * h, -h)]
     doctored += [_off_by_one(rs, 0, 0, 1), _off_by_one(rs, 0, n - 1, -1), _off_by_one(rs, n - 1, 0, 1)]
     for broken in doctored:
         report, expected = verify_volume_identity(broken), _reference_identity_failures(broken)
