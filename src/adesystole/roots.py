@@ -3,10 +3,11 @@
 A root system here is the K-theoretic shadow of an ADE graph: its Cartan
 matrix, the exact rational inverse, the Coxeter number, and the positive
 roots written as integer coefficient vectors in the basis of simples.
-All of it is integer work in plain Python: C^-1 is an integer adjugate
-over the Dynkin tree, certified by one integer product, and the positive
-roots are raised height by height.  numpy is imported only by the array
-views of a RootSystem and by the identity check's R^T R product.  The
+All of it is integer work in plain Python: C^-1 is kept as an integer
+adjugate over the Dynkin tree and its determinant, certified by one
+integer product, and the positive roots are raised height by height.
+numpy is imported only by the array views and the identity check, and
+`fractions` only by the exact views `cartan_inv` and `bound`.  The
 records are named tuples, so a build loads neither `dataclasses` nor `inspect`:
 they iterate, equal a plain tuple of their fields, and copy by `_replace()`.
 Vertices carry the labels 1..n used throughout: type A is the chain
@@ -18,12 +19,12 @@ vertex n-2, and types E6/E7/E8 use the Bourbaki numbering (chain
 from __future__ import annotations
 
 import math
-import numbers
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 RootClass = tuple[int, ...]
@@ -39,6 +40,10 @@ MAX_RANK_AD = 32
 
 def _check_int(name: str, value) -> None:
     """ValueError unless `value` is an integer; a bool, float or string is not."""
+    if type(value) is int:
+        return
+    import numbers
+
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
@@ -182,14 +187,15 @@ def _tree_adjugate(cartan) -> tuple[int, list[list[int]]]:
 class _RootFields(NamedTuple):
     ade: AdeType
     cartan: tuple[tuple[int, ...], ...]
-    cartan_inv: tuple[tuple[Fraction, ...], ...]
+    adjugate: tuple[tuple[int, ...], ...]
+    determinant: int
     coxeter: int
     positive_roots: tuple[RootClass, ...]
 
 
 class RootSystem(_RootFields):
-    """Cartan data plus the enumerated positive roots of one ADE type.  Its
-    `cached_property` views write the instance dict; any other assignment raises."""
+    """Cartan data, C^-1 as adjugate / determinant, and the positive roots of one ADE
+    type.  Its `cached_property` views write the instance dict; any other assignment raises."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -202,8 +208,18 @@ class RootSystem(_RootFields):
         return self.ade.rank
 
     @cached_property
+    def cartan_inv(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The exact inverse Cartan matrix, one Fraction per distinct entry."""
+        from fractions import Fraction
+
+        exact = {x: Fraction(x, self.determinant) for x in set().union(*self.adjugate)}
+        return tuple(tuple(map(exact.__getitem__, row)) for row in self.adjugate)
+
+    @cached_property
     def bound(self) -> Fraction:
         """The systolic bound h/n of sys^2 <= (h/n) vol."""
+        from fractions import Fraction
+
         return Fraction(self.coxeter, self.rank)
 
     @cached_property
@@ -215,10 +231,10 @@ class RootSystem(_RootFields):
 
     @cached_property
     def inverse_array(self) -> np.ndarray:
-        """Inverse Cartan matrix rounded into floats, for numeric work."""
+        """Inverse Cartan matrix rounded into floats, as float(Fraction) rounds it."""
         import numpy as np
 
-        return np.array([[float(x) for x in row] for row in self.cartan_inv])
+        return np.array(self.adjugate) / self.determinant
 
     @cached_property
     def complex_root_matrix(self) -> np.ndarray:
@@ -249,9 +265,8 @@ def build_root_system(ade: AdeType) -> RootSystem:
     ]
     if det == 0 or product != [[det * (i == j) for j in range(ade.rank)] for i in range(ade.rank)]:
         raise ArithmeticError(f"the integer adjugate of the {ade} Cartan matrix is not exact")
-    exact = {x: Fraction(x, det) for x in set().union(*adj)}  # one Fraction per distinct entry
-    inverse = tuple(tuple(map(exact.__getitem__, row)) for row in adj)
-    return RootSystem(ade, cartan, inverse, coxeter_number(ade), _positive_roots(cartan))
+    adjugate = tuple(map(tuple, adj))
+    return RootSystem(ade, cartan, adjugate, det, coxeter_number(ade), _positive_roots(cartan))
 
 
 def count_positive_roots(ade: AdeType) -> int:
@@ -280,19 +295,19 @@ class IdentityReport(NamedTuple):
 def verify_volume_identity(rs: RootSystem) -> IdentityReport:
     """Check, in exact arithmetic, that for every pair i <= j the (i,j)
     entry of the inverse Cartan matrix is the sum of c_i(M)c_j(M) over the
-    positive roots M divided by the Coxeter number, a/b = g/h as a h = g b in
-    integers.  The sums are R^T R, R the positive roots as float rows, exact:
-    no root coefficient passes 6, so no partial sum passes |Phi+| 6^2 < 2^53."""
+    positive roots M divided by the Coxeter number, A/d = g/h as A h = g d in
+    integers; only failure witnesses are Fractions.  The sums are R^T R, R the
+    positive roots as float rows, exact: no root coefficient passes 6, so no
+    partial sum passes |Phi+| 6^2 < 2^53."""
     import numpy as np
 
-    n, h = rs.rank, rs.coxeter
+    n, h, adj, d = rs.rank, rs.coxeter, rs.adjugate, rs.determinant
     r = np.array(rs.positive_roots, dtype=np.float64)
     gram = (r.T @ r).astype(np.int64).tolist()
-    failures = []
-    for i in range(n):
-        for j in range(i, n):
-            lhs = rs.cartan_inv[i][j]
-            if lhs.numerator * h != gram[i][j] * lhs.denominator:
-                failures.append((i + 1, j + 1, lhs, Fraction(gram[i][j], h)))
-    pairs = n * (n + 1) // 2
-    return IdentityReport(passed=not failures, pairs_checked=pairs, failures=tuple(failures))
+    bad = [(i, j) for i in range(n) for j in range(i, n) if adj[i][j] * h != gram[i][j] * d]
+    failures = ()
+    if bad:
+        from fractions import Fraction
+
+        failures = tuple((i + 1, j + 1, Fraction(adj[i][j], d), Fraction(gram[i][j], h)) for i, j in bad)
+    return IdentityReport(passed=not bad, pairs_checked=n * (n + 1) // 2, failures=failures)

@@ -30,12 +30,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from adesystole.roots import RootSystem, _check_int, _check_seed
 from adesystole.stability import _score
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Phases are kept this far inside (0, 1); the supremum can sit on the wall.
 PHASE_MARGIN = 1e-7

@@ -19,11 +19,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from adesystole.roots import RootClass, RootSystem, _check_class
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Relative tolerances: cross-formula comparisons, and inequality slack.
 REL_TOL = 1e-9

@@ -20,6 +20,7 @@ from adesystole.milnor import (
     verify_correspondence,
 )
 from adesystole.roots import AdeType, _positive_roots, build_root_system
+from adesystole.search import VIOLATION_REL_TOL
 from adesystole.stability import evaluate_charge
 from test_stability import outcome, reference_systole_lower, reference_volume_roots
 
@@ -341,6 +342,17 @@ def test_correspondence_random_configurations():
             assert report.passed
             assert report.systole_rel_error <= 1e-9
             assert report.volume_rel_error <= 1e-9
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), 32, 33, 60])
+def test_correspondence_sys_lower_is_within_its_proved_bound(n):
+    # The n(n+1)/2 segment classes each have length >= the systole, so
+    # vol >= (n/2) sys_lower^2, past A32 too.
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        report = verify_correspondence(random_configuration(rng, n))
+        ratio = report.systole_categorical**2 / report.volume_categorical
+        assert ratio <= 2 / n * (1 + VIOLATION_REL_TOL)
 
 
 def test_correspondence_collinear_configuration_still_checked():

@@ -35,6 +35,7 @@ EXPORTS = {
 }
 
 SRC = str(Path(adesystole.__file__).resolve().parent.parent)
+EXACT = {"fractions", "decimal"}
 
 
 def test_all_lists_every_imported_public_name():
@@ -65,12 +66,13 @@ def test_submodules_by_name_and_unknown_names():
 
 
 def _fresh_modules(code: str) -> set[str]:
-    """The adesystole modules, and numpy if loaded, after `code` runs in a fresh
-    interpreter; without numpy, also `dataclasses` and `inspect` if loaded
-    (numpy imports `inspect` itself)."""
+    """The adesystole modules, and numpy, `fractions` and `decimal` if loaded,
+    after `code` runs in a fresh interpreter; without numpy, also `dataclasses`,
+    `inspect` and `numbers` if loaded (numpy imports `inspect` and `numbers` itself)."""
     probe = (
         "\nimport json, sys\n"
-        "shown = {'numpy'} if 'numpy' in sys.modules else {'dataclasses', 'inspect'}\n"
+        "shown = {'numpy', 'fractions', 'decimal'}\n"
+        "shown |= set() if 'numpy' in sys.modules else {'dataclasses', 'inspect', 'numbers'}\n"
         "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'adesystole' or m in shown]))"
     )
     env = {**os.environ, "PYTHONPATH": SRC}
@@ -96,8 +98,10 @@ def test_building_root_systems_loads_no_numpy():
         "    assert rs.coxeter == adesystole.coxeter_number(ade)\n"
     )
     assert _fresh_modules(build) == {"adesystole", "adesystole.roots"}
-    # The array views are numpy's, loaded on first read.
+    # The array views load numpy, and the exact views `fractions`, on first read.
     assert _fresh_modules(build + "rs.complex_root_matrix\n") == {"adesystole", "adesystole.roots", "numpy"}
+    for view in ("cartan_inv", "bound"):
+        assert _fresh_modules(f"{build}rs.{view}\n") == {"adesystole", "adesystole.roots", *EXACT, "numbers"}
 
 
 BASE = {"adesystole", "adesystole.cli", "adesystole.roots"}
@@ -105,19 +109,20 @@ NUMERIC = {"adesystole.stability", "numpy"}
 
 # One command of each family, and the modules it loads beyond BASE: only
 # `roots` runs without numpy, and it loads neither `dataclasses` nor `inspect`.
+# Only the commands that print a Fraction (C^-1, or the bound h/n) load `fractions`.
 COMMAND_MODULES = [
-    (["roots", "--family", "A", "--rank", "3"], set()),
+    (["roots", "--family", "A", "--rank", "3"], EXACT | {"numbers"}),
     (["identity", "--family", "D", "--rank", "4"], {"numpy"}),
-    (["inequality", "--family", "A", "--rank", "2", "--charge", "1i,1i"], NUMERIC),
+    (["inequality", "--family", "A", "--rank", "2", "--charge", "1i,1i"], NUMERIC | EXACT),
     (
         ["tilt-graph", "--family", "D", "--rank", "4", "--depth", "3", "--output", "json"],
         NUMERIC | {"adesystole.actions"},
     ),
     (
         ["sample", "--family", "A", "--rank", "2", "--count", "10", "--output", "csv"],
-        NUMERIC | {"adesystole.search", "adesystole._csvdigits"},
+        NUMERIC | EXACT | {"adesystole.search", "adesystole._csvdigits"},
     ),
-    (["optimize", "--family", "A", "--rank", "2", "--restarts", "2"], NUMERIC | {"adesystole.search"}),
+    (["optimize", "--family", "A", "--rank", "2", "--restarts", "2"], NUMERIC | EXACT | {"adesystole.search"}),
     (["milnor", "--points", "1+0i,-1+0i", "--correspond"], NUMERIC | {"adesystole.milnor"}),
     (["correspond", "--poly", "0+0i,-1+0i"], NUMERIC | {"adesystole.milnor"}),
 ]

@@ -252,7 +252,22 @@ def test_inverse_spot_values():
 @pytest.mark.parametrize("ade", ALL_TYPES, ids=str)
 def test_certified_inverse_equals_the_bareiss_inverse(ade):
     det, adj = _bareiss(cartan_matrix(ade))
-    assert build_root_system(ade).cartan_inv == tuple(tuple(Fraction(x, det) for x in row) for row in adj)
+    rs = build_root_system(ade)
+    assert (rs.determinant, rs.adjugate) == (det, adj)
+    assert rs.cartan_inv == tuple(tuple(Fraction(x, det) for x in row) for row in adj)
+
+
+def _rounded(inverse) -> np.ndarray:
+    return np.array([[float(x) for x in row] for row in inverse])
+
+
+@pytest.mark.parametrize("ade", ALL_TYPES, ids=str)
+def test_inverse_array_has_the_bits_of_the_rounded_fractions(ade):
+    rs = build_root_system(ade)
+    assert np.array_equal(rs.inverse_array, _rounded(rs.cartan_inv))
+    assert rs.inverse_array.tobytes() == _rounded(rs.cartan_inv).tobytes()
+    # One Fraction per distinct entry, built on first read.
+    assert len({id(x) for row in rs.cartan_inv for x in row}) == len(set().union(*rs.adjugate))
 
 
 @pytest.fixture
@@ -295,7 +310,9 @@ def test_the_certificate_holds_for_any_nonzero_determinant(monkeypatch, cold_bui
         with pytest.raises(ArithmeticError, match="not exact"):
             build_root_system(ade)
         return
-    assert build_root_system(ade).cartan_inv == tuple(tuple(Fraction(x, det) for x in row) for row in adj)
+    rs = build_root_system(ade)
+    assert rs.cartan_inv == tuple(tuple(Fraction(x, det) for x in row) for row in adj)
+    assert rs.inverse_array.tobytes() == _rounded(rs.cartan_inv).tobytes()
 
 
 # == Positive-root enumeration ===============================================
@@ -474,10 +491,12 @@ def _reference_identity_failures(rs):
 
 
 def _off_by_one(rs, i, j, unit):
-    """`rs` with the inverse entry (i, j), 0-based, moved by unit / h."""
-    inv = [list(row) for row in rs.cartan_inv]
-    inv[i][j] += Fraction(unit, rs.coxeter)
-    return rs._replace(cartan_inv=tuple(map(tuple, inv)))
+    """`rs` with the inverse entry (i, j), 0-based, moved by unit / h: the stored
+    integers are scaled by h, so adding unit * d to one adjugate entry moves it."""
+    h, d = rs.coxeter, rs.determinant
+    adj = [[h * x for x in row] for row in rs.adjugate]
+    adj[i][j] += unit * d
+    return rs._replace(adjugate=tuple(map(tuple, adj)), determinant=h * d)
 
 
 @pytest.mark.parametrize(

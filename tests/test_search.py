@@ -286,6 +286,21 @@ def test_sample_memory_stays_per_block(family, rank, count):
     assert peak <= 24 * count + 4 * 2**20
 
 
+def sys_lower_share(result, n) -> float:
+    """The largest (n/2) sys_lower^2 / vol over a result's rows, at most 1 up to
+    round-off: |Phi+| = nh/2 roots of modulus >= sys_lower give vol >= (n/2) sys_lower^2."""
+    share = float((result.sys_lower**2 / result.volumes).max()) * n / 2
+    assert share <= 1 + search.VIOLATION_REL_TOL
+    return share
+
+
+def test_every_sampled_sys_lower_is_within_its_proved_bound():
+    cfg = SearchConfig(sample_count=2_000, seed=33)
+    shares = {ade: sys_lower_share(sample_ratios(build_root_system(ade), cfg), ade.rank) for ade in ALL_TYPES}
+    # A1 has one root, so every charge attains the bound.
+    assert max(shares.values()) == shares[AdeType("A", 1)] == pytest.approx(1.0, rel=1e-15)
+
+
 @pytest.mark.parametrize("columns", range(1, 8))
 def test_narrow_row_sums_have_the_bits_of_sum(columns):
     # numpy's pairwise sum adds fewer than 8 elements one by one, so the
@@ -354,6 +369,11 @@ def test_optimize_never_violates_bound():
         result = optimize_ratio(rs, SearchConfig(seed=13, restarts=5))
         assert result.samples_violating == 0
         assert result.best_ratio <= float(result.bound) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("family, rank", [("A", 1), ("A", 2), ("A", 5), ("D", 4), ("E", 6)])
+def test_every_optimized_sys_lower_is_within_its_proved_bound(family, rank):
+    sys_lower_share(optimize_ratio(build_root_system(AdeType(family, rank)), SearchConfig(seed=33, restarts=8)), rank)
 
 
 def test_ratio_gauge_invariance():
